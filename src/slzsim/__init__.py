@@ -14,8 +14,7 @@ from .metrics import (MetricsReport, aggregate, best_iou, ground_truth_slz,
 from .slz import (DistanceMap, SlzConfig, SlzProposal, extract_slz,
                   euclidean_distance_transform)
 from .tracking import (StepEvents, TrackManager, TrackState, TrackerConfig,
-                       circle_iou, hungarian_assign, kf_predict, kf_update,
-                       manager_step)
+                       circle_iou, hungarian_assign, kf_predict, kf_update)
 from .world import (Actor, DroneState, MissionLog, ScenarioConfig, WorldState,
                     landing_policy_step, random_walk_step, select_target,
                     simulate_mission, spawn_scenario)

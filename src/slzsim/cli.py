@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio, metrics, render
 from .density import OracleNoiseConfig
-from .errors import ConfigError, MalformedFile
+from .errors import ConfigError, MalformedFile, SlzSimError
 from .geometry import CameraModel, HeadPlane, compose
 from .slz import SlzConfig
 from .tracking import TrackerConfig
@@ -31,6 +31,7 @@ EXIT_COLLISION = 2
 EXIT_TIMEOUT = 3
 EXIT_CONFIG = 64
 EXIT_MALFORMED = 65
+EXIT_SIMULATION = 70       # any other SlzSimError, e.g. a degenerate view
 EXIT_IO = 74
 
 SUMMARY_COLUMNS = ["seed", "outcome", "frames", "warning_avg", "danger_avg",
@@ -238,6 +239,9 @@ def cmd_replay(args) -> int:
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     frames = fileio.load_annotations(args.annotations)
     body_poses = fileio.load_poses(args.poses)
+    missing = next((fid for fid, _ in frames if fid not in body_poses), None)
+    if missing is not None:
+        raise MalformedFile(f"{args.poses}: no pose for annotated frame {missing}")
     mount = nadir_camera_mount()
     poses = {fid: compose(mount, t) for fid, t in body_poses.items()}
     rows, rep = metrics.replay_annotations(
@@ -313,6 +317,9 @@ def main(argv=None) -> int:
     except MalformedFile as exc:
         print(f"malformed file: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except SlzSimError as exc:
+        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

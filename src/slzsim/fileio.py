@@ -14,7 +14,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import MalformedFile
 from .geometry import RigidTransform
-from .world import FrameRecord, MissionLog
+from .world import OUTCOMES, FrameRecord, MissionLog
 
 ANNOTATION_HEADER = "HEADS v1"
 POSE_HEADER = "POSE v1"
@@ -173,6 +173,9 @@ def load_mission_log(path) -> MissionLog:
             elif kind == "outcome":
                 if log is None:
                     raise MalformedFile(f"{path}:{lineno}: outcome before meta")
+                if rec["outcome"] not in OUTCOMES:
+                    raise MalformedFile(
+                        f"{path}:{lineno}: unknown outcome {rec['outcome']!r}")
                 log.outcome = rec["outcome"]
                 log.touchdown = rec["touchdown"]
             else:

@@ -139,6 +139,15 @@ class PlaneGrid:
                          self.rows, self.cols, self.values.copy())
 
 
+def apply_geofence(grid: PlaneGrid, roi_side: float) -> None:
+    """Mark cells outside the square ROI [0, roi_side]^2 as occupied; the
+    world outside the ROI is unobserved and must not attract landing
+    proposals."""
+    gx, gy = grid.cell_centers()
+    outside = (gx < 0) | (gx > roi_side) | (gy < 0) | (gy > roi_side)
+    grid.values[outside] = 0
+
+
 def project_plane_point(p_world, world_to_camera: RigidTransform,
                         cam: CameraModel) -> tuple[float, float, float]:
     """Project a head-plane point to image coordinates.

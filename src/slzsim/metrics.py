@@ -8,16 +8,20 @@ personal-space square per person and extracting the 10 biggest circles.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import OccupancyGrid, OracleNoiseConfig, occupancy_from_density, \
-    render_oracle_density
-from .errors import BehindCamera, EmptyGroundTruth
-from .geometry import CameraModel, HeadPlane, PlaneGrid, grid_footprint, \
-    project_plane_point, sample_occupancy_to_plane
+from . import world
+# occupancy_from_density, render_oracle_density and grid_footprint are
+# called only by world.perceive; they stay imported here because the
+# benchmark's tracer (perfbench/tracing.py) wraps them in this namespace too.
+from .density import (OccupancyGrid, OracleNoiseConfig, occupancy_from_density,
+                      render_oracle_density)
+from .errors import EmptyGroundTruth
+from .geometry import (CameraModel, HeadPlane, PlaneGrid, RigidTransform,
+                       apply_geofence, grid_footprint,
+                       sample_occupancy_to_plane)
 from .slz import SlzConfig, extract_slz
 from .tracking import TrackManager, TrackerConfig, circle_iou
 
@@ -36,8 +40,6 @@ def risk_counts(target, heads) -> tuple[int, int]:
     if r <= 0:
         raise ValueError("target radius must be positive")
     heads = np.asarray(heads, dtype=float).reshape(-1, 2)
-    if heads.size == 0:
-        return 0, 0
     d2 = (heads[:, 0] - cx) ** 2 + (heads[:, 1] - cy) ** 2
     warning = int((d2 < r * r).sum())
     danger = int((d2 <= DANGER_RADIUS ** 2).sum())
@@ -77,6 +79,41 @@ def best_iou(target, gt) -> float:
 
 
 @dataclass
+class TargetMetrics:
+    """Per-frame metrics of the selected target; all None without one."""
+    target: list | None = None       # [cx, cy, r]
+    warning: int | None = None
+    danger: int | None = None
+    slz_area: float | None = None
+    best_iou: float | None = None
+
+
+def evaluate_target(target, heads, grid: PlaneGrid, w2c: RigidTransform,
+                    cam: CameraModel, plane: HeadPlane, r0: float,
+                    roi_side: float | None = None) -> TargetMetrics:
+    """Score the target track against the true heads (n, 2).
+
+    Ground truth is extracted from the heads over the cells of ``grid``
+    (only its geometry is used) that the camera sees, geofenced to the ROI
+    when ``roi_side`` is given.
+    """
+    if target is None:
+        return TargetMetrics()
+    circle = [float(target.mean[0]), float(target.mean[1]),
+              max(float(target.mean[2]), 1e-6)]
+    warning, danger = risk_counts(circle, heads)
+    all_free = OccupancyGrid(np.full((cam.height, cam.width), 255, np.uint8))
+    view = sample_occupancy_to_plane(all_free, grid, w2c, cam, plane)
+    if roi_side is not None:
+        apply_geofence(view, roi_side)
+    gt = ground_truth_slz(heads, view,
+                          SlzConfig(n_p=GROUND_TRUTH_COUNT, r0=r0))
+    return TargetMetrics(circle, warning, danger,
+                         float(np.pi * circle[2] ** 2),
+                         best_iou(circle, gt) if gt else None)
+
+
+@dataclass
 class MetricsReport:
     warning_avg: float = 0.0
     warning_std: float = 0.0
@@ -93,9 +130,32 @@ class MetricsReport:
     n_frames: int = 0
 
 
-def _mission_means(frames, attr):
-    vals = [getattr(f, attr) for f in frames if getattr(f, attr) is not None]
-    return vals
+def _pool(rep: MetricsReport, runs) -> MetricsReport:
+    """Pool the frame metrics of several runs (lists of frames) into rep.
+
+    Averages are means of per-run frame means; standard deviations and
+    exec times are over all frames pooled. Frames without a value (None)
+    are skipped.
+    """
+    def values(frames, attr):
+        return [v for f in frames if (v := getattr(f, attr)) is not None]
+
+    for attr in ("warning", "danger", "slz_area", "best_iou"):
+        means = [float(np.mean(v)) for v in (values(fs, attr) for fs in runs)
+                 if v]
+        if means:
+            setattr(rep, f"{attr}_avg", float(np.mean(means)))
+    for attr in ("warning", "danger"):
+        pooled = [v for fs in runs for v in values(fs, attr)]
+        if pooled:
+            setattr(rep, f"{attr}_std", float(np.std(pooled)))
+    times = [v for fs in runs for v in values(fs, "exec_time")]
+    if times:
+        rep.exec_time_avg = float(np.mean(times))
+        rep.exec_time_max = float(max(times))
+        rep.exec_time_min = float(min(times))
+    rep.n_frames = sum(len(fs) for fs in runs)
+    return rep
 
 
 def aggregate(logs) -> MetricsReport:
@@ -106,58 +166,24 @@ def aggregate(logs) -> MetricsReport:
     """
     if not logs:
         raise ValueError("aggregate requires at least one mission log")
-    rep = MetricsReport(n_missions=len(logs))
-    per_mission = {k: [] for k in
-                   ("warning", "danger", "slz_area", "best_iou", "nearest")}
-    pooled_warning, pooled_danger, exec_times = [], [], []
-    outcomes = []
-    for log in logs:
-        outcomes.append(log.outcome)
-        rep.n_frames += len(log.frames)
-        for key, attr in (("warning", "warning"), ("danger", "danger"),
-                          ("slz_area", "slz_area"), ("best_iou", "best_iou")):
-            vals = _mission_means(log.frames, attr)
-            if vals:
-                per_mission[key].append(float(np.mean(vals)))
-        pooled_warning += _mission_means(log.frames, "warning")
-        pooled_danger += _mission_means(log.frames, "danger")
-        exec_times += _mission_means(log.frames, "exec_time")
-        descent = [f.nearest_person for f in log.frames
-                   if f.nearest_person is not None
-                   and f.drone[2] < log.start_altitude]
-        if descent:
-            per_mission["nearest"].append(float(np.mean(descent)))
-
-    def _avg(key):
-        return float(np.mean(per_mission[key])) if per_mission[key] else 0.0
-
-    rep.warning_avg = _avg("warning")
-    rep.danger_avg = _avg("danger")
-    rep.slz_area_avg = _avg("slz_area")
-    rep.best_iou_avg = _avg("best_iou")
-    rep.nearest_person_avg = _avg("nearest")
-    rep.warning_std = float(np.std(pooled_warning)) if pooled_warning else 0.0
-    rep.danger_std = float(np.std(pooled_danger)) if pooled_danger else 0.0
-    if any(o in ("LandedSafe", "Collision", "Timeout", "Aborted")
-           for o in outcomes):
-        rep.success_rate = outcomes.count("LandedSafe") / len(outcomes)
-    if exec_times:
-        rep.exec_time_avg = float(np.mean(exec_times))
-        rep.exec_time_max = float(max(exec_times))
-        rep.exec_time_min = float(min(exec_times))
+    rep = _pool(MetricsReport(n_missions=len(logs)),
+                [log.frames for log in logs])
+    descents = ([f.nearest_person for f in log.frames
+                 if f.nearest_person is not None
+                 and f.drone[2] < log.start_altitude] for log in logs)
+    nearest = [float(np.mean(d)) for d in descents if d]
+    if nearest:
+        rep.nearest_person_avg = float(np.mean(nearest))
+    rep.success_rate = sum(log.outcome == "LandedSafe"
+                           for log in logs) / len(logs)
     return rep
 
 
-@dataclass
-class ReplayFrame:
+@dataclass(kw_only=True)
+class ReplayFrame(TargetMetrics):
     frame_id: int
     n_heads: int
     n_proposals: int
-    target: list | None
-    warning: int | None
-    danger: int | None
-    slz_area: float | None
-    best_iou: float | None
     exec_time: float
 
 
@@ -175,13 +201,10 @@ def replay_annotations(frames, poses, cam: CameraModel, plane: HeadPlane,
     No drone motion is simulated; per-frame metrics use the selected
     criterion's target track.
     """
-    from .world import select_target  # local import avoids a module cycle
-
     slz_cfg = slz_cfg or SlzConfig()
     tracker_cfg = tracker_cfg or TrackerConfig()
     noise_cfg = noise_cfg or OracleNoiseConfig()
     manager = TrackManager(tracker_cfg)
-    all_free = OccupancyGrid(np.full((cam.height, cam.width), 255, np.uint8))
     rows: list[ReplayFrame] = []
 
     for frame_id, heads in frames:
@@ -189,56 +212,13 @@ def replay_annotations(frames, poses, cam: CameraModel, plane: HeadPlane,
             raise KeyError(f"no camera pose for frame {frame_id}")
         w2c = poses[frame_id]
         heads = np.asarray(heads, dtype=float).reshape(-1, 2)
-        t0 = time.perf_counter()
-        pixels = []
-        for hx, hy in heads:
-            try:
-                u, v, _ = project_plane_point((hx, hy, plane.h_h), w2c, cam)
-            except BehindCamera:
-                continue
-            pixels.append((u, v))
-        frame_noise = replace(noise_cfg,
-                              seed=noise_cfg.seed * 1_000_003 + frame_id)
-        dmap = render_oracle_density(pixels, frame_noise, cam.width, cam.height)
-        occ = occupancy_from_density(dmap)
-        grid = grid_footprint(cam, w2c, plane, cell_size, margin)
-        sampled = sample_occupancy_to_plane(occ, grid, w2c, cam, plane)
-        proposals = extract_slz(sampled, slz_cfg, frame_id)
-        manager.step(proposals, frame_id)
-        exec_time = time.perf_counter() - t0
-
-        target = select_target(manager.tracks, criterion)
-        warning = danger = None
-        area = best = None
-        circle = None
-        if target is not None:
-            circle = [float(target.mean[0]), float(target.mean[1]),
-                      max(float(target.mean[2]), 1e-6)]
-            warning, danger = risk_counts(circle, heads)
-            area = float(np.pi * circle[2] ** 2)
-            view = sample_occupancy_to_plane(all_free, grid, w2c, cam, plane)
-            gt = ground_truth_slz(heads, view,
-                                  SlzConfig(n_p=GROUND_TRUTH_COUNT,
-                                            r0=slz_cfg.r0))
-            if gt:
-                best = best_iou(circle, gt)
-        rows.append(ReplayFrame(frame_id, len(heads), len(proposals), circle,
-                                warning, danger, area, best, exec_time))
-
-    report = MetricsReport(n_missions=0, n_frames=len(rows))
-    def _vals(attr):
-        return [getattr(r, attr) for r in rows if getattr(r, attr) is not None]
-    for attr, name in (("warning", "warning_avg"), ("danger", "danger_avg"),
-                       ("slz_area", "slz_area_avg"), ("best_iou", "best_iou_avg")):
-        vals = _vals(attr)
-        if vals:
-            setattr(report, name, float(np.mean(vals)))
-    if _vals("warning"):
-        report.warning_std = float(np.std(_vals("warning")))
-        report.danger_std = float(np.std(_vals("danger")))
-    times = [r.exec_time for r in rows]
-    if times:
-        report.exec_time_avg = float(np.mean(times))
-        report.exec_time_max = float(max(times))
-        report.exec_time_min = float(min(times))
-    return rows, report
+        grid, proposals, exec_time = world.perceive(
+            heads, w2c, frame_id, manager, cam, plane, noise_cfg, slz_cfg,
+            cell_size, margin)
+        target = world.select_target(manager.tracks, criterion)
+        scored = evaluate_target(target, heads, grid, w2c, cam, plane,
+                                 slz_cfg.r0)
+        rows.append(ReplayFrame(frame_id=frame_id, n_heads=len(heads),
+                                n_proposals=len(proposals),
+                                exec_time=exec_time, **vars(scored)))
+    return rows, _pool(MetricsReport(n_missions=0), [rows])

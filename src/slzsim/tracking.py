@@ -164,7 +164,7 @@ class TrackManager:
         self._next_id += 1
         return t
 
-    def step(self, proposals, frame_index: int = 0) -> StepEvents:
+    def step(self, proposals) -> StepEvents:
         """Advance one frame: predict, associate, update, cull, birth."""
         cfg = self.cfg
         events = StepEvents()
@@ -235,10 +235,3 @@ class TrackManager:
         for t in self.tracks:
             t.age += 1
         return events
-
-
-def manager_step(manager: TrackManager, proposals,
-                 frame_index: int = 0) -> tuple[list[TrackState], StepEvents]:
-    """Functional wrapper around TrackManager.step."""
-    events = manager.step(proposals, frame_index)
-    return manager.tracks, events

@@ -11,19 +11,19 @@ crowd layer (altitude at or below the head plane) and at touchdown.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .density import (DensityMap, OccupancyGrid, OracleNoiseConfig,
-                      occupancy_from_density, render_oracle_density)
+from .density import (DensityMap, OracleNoiseConfig, occupancy_from_density,
+                      render_oracle_density)
 from .errors import BehindCamera, PlacementFailure
 from .geometry import (CameraModel, HeadPlane, PlaneGrid, RigidTransform,
-                       compose, grid_footprint, project_plane_point,
-                       sample_occupancy_to_plane)
+                       apply_geofence, compose, grid_footprint,
+                       project_plane_point, sample_occupancy_to_plane)
 from .slz import SlzConfig, extract_slz
-from .tracking import TrackManager, TrackerConfig, circle_iou
+from .tracking import TrackManager, TrackerConfig
 
 LAND_ALTITUDE = 2.0        # waypoint height above ground / landing threshold
 LAND_HORIZ_TOL = 0.5       # max horizontal offset to the target center at Land
@@ -85,8 +85,14 @@ class ScenarioConfig:
     abort_hold_time: float = 10.0    # held at ceiling with no target -> Aborted
 
     def __post_init__(self):
-        if self.roi_side <= 0:
-            raise ValueError("roi_side must be positive")
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if min(self.roi_side, self.dt_sim, self.max_mission_time) <= 0:
+            raise ValueError(
+                "roi_side, dt_sim and max_mission_time must be positive")
+        if (self.n_actors or 0) < 0:
+            raise ValueError("n_actors must be non-negative")
         if not 0 <= self.frac_moving <= 1:
             raise ValueError("frac_moving must be in [0, 1]")
         if self.criterion not in ("biggest", "oldest"):
@@ -180,22 +186,44 @@ def spawn_scenario(cfg: ScenarioConfig,
     return WorldState(actors, drone, plane, cfg.roi_side, rng)
 
 
-def observe(world: WorldState, cam: CameraModel,
+def observe(heads, w2c: RigidTransform, cam: CameraModel, plane: HeadPlane,
             noise: OracleNoiseConfig) -> DensityMap:
-    """Render the oracle density map for the current camera view. Actors
-    behind the camera or whose blob cannot touch the image are skipped."""
-    w2c = world.drone.world_to_camera()
+    """Render the oracle density map of world head positions (n, 2) seen
+    through world-to-camera ``w2c``. Heads behind the camera or whose blob
+    cannot touch the image are skipped."""
     reach = 4.0 * noise.sigma_px
-    heads = []
-    for a in world.actors:
+    pixels = []
+    for hx, hy in heads:
         try:
-            u, v, _ = project_plane_point(
-                (a.x, a.y, world.plane.h_h), w2c, cam)
+            u, v, _ = project_plane_point((hx, hy, plane.h_h), w2c, cam)
         except BehindCamera:
             continue
         if -reach <= u <= cam.width + reach and -reach <= v <= cam.height + reach:
-            heads.append((u, v))
-    return render_oracle_density(heads, noise, cam.width, cam.height)
+            pixels.append((u, v))
+    return render_oracle_density(pixels, noise, cam.width, cam.height)
+
+
+def perceive(heads, w2c: RigidTransform, frame: int, manager: TrackManager,
+             cam: CameraModel, plane: HeadPlane, noise: OracleNoiseConfig,
+             slz_cfg: SlzConfig, cell_size: float, margin: float,
+             roi_side: float | None = None) -> tuple[PlaneGrid, list, float]:
+    """One frame of the perception pipeline, shared by missions and replay:
+    oracle density -> occupancy -> head-plane grid -> SLZ extraction ->
+    tracker step. The oracle noise is reseeded per frame; with
+    ``roi_side`` the grid is geofenced to the ROI before extraction.
+    Returns the head-plane grid, the proposals and the host seconds taken.
+    """
+    t0 = time.perf_counter()
+    frame_noise = replace(noise, seed=noise.seed * 1_000_003 + frame)
+    occ = occupancy_from_density(observe(heads, w2c, cam, plane, frame_noise))
+    grid = sample_occupancy_to_plane(
+        occ, grid_footprint(cam, w2c, plane, cell_size, margin), w2c, cam,
+        plane)
+    if roi_side is not None:
+        apply_geofence(grid, roi_side)
+    proposals = extract_slz(grid, slz_cfg, frame)
+    manager.step(proposals)
+    return grid, proposals, time.perf_counter() - t0
 
 
 def select_target(tracks, criterion: str):
@@ -249,12 +277,15 @@ class FrameRecord:
     actors: list         # [[x, y], ...]
 
 
+OUTCOMES = ("LandedSafe", "Collision", "Timeout", "Aborted")
+
+
 @dataclass
 class MissionLog:
     seed: int
     criterion: str
     policy: str
-    outcome: str = "Timeout"          # LandedSafe | Collision | Timeout | Aborted
+    outcome: str = "Timeout"          # one of OUTCOMES
     touchdown: list | None = None
     start_altitude: float = 10.0
     frames: list[FrameRecord] = field(default_factory=list)
@@ -334,7 +365,6 @@ def simulate_mission(cfg: ScenarioConfig,
     manager = TrackManager(tracker_cfg)
     log = MissionLog(cfg.seed, cfg.criterion, policy,
                      start_altitude=cfg.start_altitude)
-    all_free = OccupancyGrid(np.full((cam.height, cam.width), 255, np.uint8))
 
     if policy == "random":
         blind_xy = world.rng.uniform(0, cfg.roi_side, size=2)
@@ -350,29 +380,19 @@ def simulate_mission(cfg: ScenarioConfig,
             if a.moving:
                 world.actors[i] = random_walk_step(a, world.rng, cfg.roi_side)
 
-        proposals, target, exec_time = [], None, None
-        gt_zones, sampled = None, None
+        grid, proposals, exec_time, target = None, [], None, None
+        scored = metrics_mod.TargetMetrics()
         if policy == "slz" and not landing:
-            t0 = time.perf_counter()
-            frame_noise = replace(noise_cfg, seed=noise_cfg.seed * 1_000_003 + k)
-            dmap = observe(world, cam, frame_noise)
-            occ = occupancy_from_density(dmap)
+            heads = world.actor_positions()
             w2c = world.drone.world_to_camera()
-            grid = grid_footprint(cam, w2c, plane, cell_size, margin)
-            sampled = sample_occupancy_to_plane(occ, grid, w2c, cam, plane)
-            _apply_geofence(sampled, cfg.roi_side)
-            proposals = extract_slz(sampled, slz_cfg, k)
-            manager.step(proposals, k)
-            exec_time = time.perf_counter() - t0
-
+            grid, proposals, exec_time = perceive(
+                heads, w2c, k, manager, cam, plane, noise_cfg, slz_cfg,
+                cell_size, margin, cfg.roi_side)
             target, incumbent_id = _select_with_hysteresis(
                 manager.tracks, cfg.criterion, incumbent_id)
-            if target is not None:
-                view = sample_occupancy_to_plane(all_free, grid, w2c, cam, plane)
-                _apply_geofence(view, cfg.roi_side)
-                gt_zones = metrics_mod.ground_truth_slz(
-                    world.actor_positions(), view,
-                    SlzConfig(n_p=10, r0=slz_cfg.r0))
+            scored = metrics_mod.evaluate_target(
+                target, heads, grid, w2c, cam, plane, slz_cfg.r0,
+                cfg.roi_side)
 
         if landing:
             cmd = Land()
@@ -391,11 +411,11 @@ def simulate_mission(cfg: ScenarioConfig,
 
         _step_drone(world.drone, cmd, cfg.dt_sim, cfg)
 
-        record = _make_record(k, t, world, cmd, proposals, manager.tracks,
-                              target, gt_zones, exec_time)
-        log.frames.append(record)
+        log.frames.append(_make_record(k, t, world, cmd, proposals,
+                                       manager.tracks, target, scored,
+                                       exec_time))
         if frame_callback is not None:
-            frame_callback(k, world, sampled, proposals, manager.tracks, target)
+            frame_callback(k, world, grid, proposals, manager.tracks, target)
 
         if _collision(world, cfg):
             log.outcome = "Collision"
@@ -420,14 +440,6 @@ def simulate_mission(cfg: ScenarioConfig,
     return log
 
 
-def _apply_geofence(grid: PlaneGrid, roi_side: float) -> None:
-    """Mark cells outside the mission ROI as occupied; the world outside the
-    ROI is unobserved and must not attract landing proposals."""
-    gx, gy = grid.cell_centers()
-    outside = (gx < 0) | (gx > roi_side) | (gy < 0) | (gy > roi_side)
-    grid.values[outside] = 0
-
-
 def _select_with_hysteresis(tracks, criterion: str, incumbent_id):
     """Re-target only when the incumbent died or a challenger beats it by
     more than 10 % on the criterion value; prevents waypoint thrash."""
@@ -441,19 +453,9 @@ def _select_with_hysteresis(tracks, criterion: str, incumbent_id):
     return incumbent, incumbent.id
 
 
-def _make_record(k, t, world, cmd, proposals, tracks, target, gt_zones,
+def _make_record(k, t, world, cmd, proposals, tracks, target, scored,
                  exec_time) -> FrameRecord:
     pos = world.actor_positions()
-    target_circle = None
-    warning = danger = None
-    slz_area = best = None
-    if target is not None:
-        target_circle = [float(target.mean[0]), float(target.mean[1]),
-                         max(float(target.mean[2]), 1e-6)]
-        warning, danger = metrics_mod.risk_counts(target_circle, pos)
-        slz_area = float(np.pi * target_circle[2] ** 2)
-        if gt_zones:
-            best = max(circle_iou(target_circle, g) for g in gt_zones)
     nearest = None
     if len(pos):
         nearest = float(np.sqrt(
@@ -466,7 +468,6 @@ def _make_record(k, t, world, cmd, proposals, tracks, target, gt_zones,
         tracks=[[t2.id, *[float(v) for v in t2.mean[:3]], t2.age, t2.misses]
                 for t2 in tracks],
         target_id=None if target is None else target.id,
-        target=target_circle,
-        warning=warning, danger=danger, slz_area=slz_area, best_iou=best,
         nearest_person=nearest, exec_time=exec_time,
-        actors=[[float(a.x), float(a.y)] for a in world.actors])
+        actors=[[float(a.x), float(a.y)] for a in world.actors],
+        **vars(scored))

@@ -62,6 +62,14 @@ def test_run_render_emits_one_ppm_per_perception_frame(tmp_path):
     assert len(list(out.glob("*_occ.pgm"))) == n_perception
 
 
+def test_run_start_below_head_plane_exits_70(tmp_path, capsys):
+    cfg = _ini(tmp_path, "[scenario]\nstart_altitude = 1\n")
+    assert main(["run", "--config", cfg, *FAST,
+                 "--out", str(tmp_path / "o")]) == 70
+    err = capsys.readouterr().err
+    assert "DegenerateView" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # batch
 
@@ -111,6 +119,14 @@ def test_replay_emits_one_row_per_frame(tmp_path):
 def test_replay_non_monotone_exits_65(tmp_path):
     ann, poses = _write_replay_inputs(tmp_path, n_frames=4, monotone=False)
     assert main(["replay", ann, poses, "--out", str(tmp_path / "o")]) == 65
+
+
+def test_replay_missing_pose_exits_65(tmp_path, capsys):
+    ann, _ = _write_replay_inputs(tmp_path, n_frames=4)
+    (tmp_path / "short").mkdir()
+    _, poses = _write_replay_inputs(tmp_path / "short", n_frames=2)
+    assert main(["replay", ann, poses, "--out", str(tmp_path / "o")]) == 65
+    assert "no pose for annotated frame 2" in capsys.readouterr().err
 
 
 def test_replay_empty_body_exits_ok(tmp_path):

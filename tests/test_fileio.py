@@ -146,3 +146,14 @@ def test_mission_log_rejects_garbage(tmp_path):
     path.write_text("")
     with pytest.raises(MalformedFile):
         load_mission_log(path)
+
+
+def test_mission_log_rejects_unknown_outcome(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_mission_log(path, simulate_mission(
+        ScenarioConfig(seed=1, n_actors=0, max_mission_time=0.3)))
+    text = path.read_text()
+    assert '"outcome": "Timeout"' in text
+    path.write_text(text.replace('"outcome": "Timeout"', '"outcome": "Crashed"'))
+    with pytest.raises(MalformedFile, match="'Crashed'"):
+        load_mission_log(path)

@@ -7,7 +7,7 @@ import pytest
 
 from slzsim import (SingularInnovation, SlzProposal, TrackManager, TrackState,
                     TrackerConfig, circle_iou, hungarian_assign, kf_predict,
-                    kf_update, manager_step)
+                    kf_update)
 
 from oracles import min_assignment_cost
 
@@ -200,9 +200,9 @@ def test_birth_after_mu2_consecutive_frames():
     cfg = TrackerConfig(mu2=3)
     mgr = TrackManager(cfg)
     for k in range(2):
-        events = mgr.step([_prop(1.0, 1.0, 2.0, k)], k)
+        events = mgr.step([_prop(1.0, 1.0, 2.0, k)])
         assert events.births == [] and mgr.tracks == []
-    events = mgr.step([_prop(1.0, 1.0, 2.0, 2)], 2)
+    events = mgr.step([_prop(1.0, 1.0, 2.0, 2)])
     assert len(events.births) == 1
     assert len(mgr.tracks) == 1
 
@@ -210,13 +210,13 @@ def test_birth_after_mu2_consecutive_frames():
 def test_death_after_mu1_plus_one_misses():
     cfg = TrackerConfig(mu1=4, mu2=1)
     mgr = TrackManager(cfg)
-    mgr.step([_prop(0.0, 0.0, 2.0)], 0)
+    mgr.step([_prop(0.0, 0.0, 2.0)])
     assert len(mgr.tracks) == 1
     tid = mgr.tracks[0].id
     for k in range(cfg.mu1):
-        mgr.step([], k + 1)
+        mgr.step([])
         assert len(mgr.tracks) == 1
-    events = mgr.step([], cfg.mu1 + 1)
+    events = mgr.step([])
     assert events.deaths == [tid]
     assert mgr.tracks == []
 
@@ -224,10 +224,10 @@ def test_death_after_mu1_plus_one_misses():
 def test_track_converges_to_offset_proposal():
     cfg = TrackerConfig(mu2=1, r_meas=np.eye(3) * 0.01)
     mgr = TrackManager(cfg)
-    mgr.step([_prop(0.0, 0.0, 2.0)], 0)
+    mgr.step([_prop(0.0, 0.0, 2.0)])
     residuals = []
     for k in range(1, 25):
-        mgr.step([_prop(0.1, 0.0, 2.0, k)], k)
+        mgr.step([_prop(0.1, 0.0, 2.0, k)])
         residuals.append(abs(mgr.tracks[0].mean[0] - 0.1))
     # the inferred velocity can overshoot briefly, so require decay over a
     # window rather than per step
@@ -241,48 +241,40 @@ def test_live_track_count_capped_at_n_p():
     mgr = TrackManager(cfg)
     props = [_prop(10.0 * i, 0.0, 1.0) for i in range(6)]
     for k in range(4):
-        mgr.step(props, k)
+        mgr.step(props)
         assert len(mgr.tracks) <= 3
 
 
 def test_track_ids_never_reused():
     cfg = TrackerConfig(mu1=1, mu2=1)
     mgr = TrackManager(cfg)
-    mgr.step([_prop(0.0, 0.0, 2.0)], 0)
+    mgr.step([_prop(0.0, 0.0, 2.0)])
     first_id = mgr.tracks[0].id
-    mgr.step([], 1)
-    mgr.step([], 2)
+    mgr.step([])
+    mgr.step([])
     assert mgr.tracks == []
-    mgr.step([_prop(0.0, 0.0, 2.0)], 3)
+    mgr.step([_prop(0.0, 0.0, 2.0)])
     assert mgr.tracks[0].id > first_id
 
 
 def test_matched_track_resets_misses_and_ages():
     cfg = TrackerConfig(mu2=1, mu1=5)
     mgr = TrackManager(cfg)
-    mgr.step([_prop(0.0, 0.0, 2.0)], 0)
-    mgr.step([], 1)
+    mgr.step([_prop(0.0, 0.0, 2.0)])
+    mgr.step([])
     assert mgr.tracks[0].misses == 1
-    mgr.step([_prop(0.0, 0.0, 2.0)], 2)
+    mgr.step([_prop(0.0, 0.0, 2.0)])
     assert mgr.tracks[0].misses == 0
     assert mgr.tracks[0].age == 3
-
-
-def test_manager_step_wrapper():
-    cfg = TrackerConfig(mu2=1)
-    mgr = TrackManager(cfg)
-    tracks, events = manager_step(mgr, [_prop(0.0, 0.0, 2.0)])
-    assert tracks is mgr.tracks
-    assert len(events.births) == 1
 
 
 def test_interrupted_pool_candidate_is_dropped():
     cfg = TrackerConfig(mu2=3)
     mgr = TrackManager(cfg)
-    mgr.step([_prop(1.0, 1.0, 2.0)], 0)
-    mgr.step([], 1)  # candidate misses a frame: counter resets
-    mgr.step([_prop(1.0, 1.0, 2.0)], 2)
-    events = mgr.step([_prop(1.0, 1.0, 2.0)], 3)
+    mgr.step([_prop(1.0, 1.0, 2.0)])
+    mgr.step([])  # candidate misses a frame: counter resets
+    mgr.step([_prop(1.0, 1.0, 2.0)])
+    events = mgr.step([_prop(1.0, 1.0, 2.0)])
     assert events.births == []  # only two consecutive appearances so far
-    events = mgr.step([_prop(1.0, 1.0, 2.0)], 4)
+    events = mgr.step([_prop(1.0, 1.0, 2.0)])
     assert len(events.births) == 1

@@ -85,9 +85,14 @@ def test_spawn_placement_failure_when_overpacked():
 # ---------------------------------------------------------------------------
 # observation
 
+def _observe(w, cam):
+    return observe(w.actor_positions(), w.drone.world_to_camera(), cam,
+                   w.plane, OracleNoiseConfig())
+
+
 def test_observe_empty_world_zero_map():
     w = spawn_scenario(ScenarioConfig(seed=0, n_actors=0))
-    d = observe(w, default_camera(), OracleNoiseConfig())
+    d = _observe(w, default_camera())
     assert (d.values == 0).all()
 
 
@@ -96,7 +101,7 @@ def test_observe_actor_below_drone_blobs_at_principal_point():
     w = spawn_scenario(ScenarioConfig(seed=0, n_actors=0))
     w.drone.position[:] = (10.0, 10.0, 10.0)
     w.actors.append(Actor(10.0, 10.0))
-    d = observe(w, cam, OracleNoiseConfig())
+    d = _observe(w, cam)
     r, c = np.unravel_index(np.argmax(d.values), d.values.shape)
     # blob centered on the continuous principal point: the four adjacent
     # pixel centers share the maximum
@@ -110,7 +115,7 @@ def test_observe_footprint_edge_actor_blobs_at_border():
     edge = back_project_pixel(2.0, cam.cy, w.drone.world_to_camera(), cam,
                               HeadPlane())
     w.actors.append(Actor(float(edge[0]), float(edge[1])))
-    d = observe(w, cam, OracleNoiseConfig())
+    d = _observe(w, cam)
     r, c = np.unravel_index(np.argmax(d.values), d.values.shape)
     assert abs(c + 0.5 - 2.0) <= 1.0
     assert abs(r + 0.5 - cam.cy) <= 1.0
@@ -226,3 +231,13 @@ def test_scenario_config_validation():
         ScenarioConfig(criterion="nearest")
     with pytest.raises(ValueError):
         simulate_mission(ScenarioConfig(n_actors=0), policy="hover")
+
+
+@pytest.mark.parametrize("field, value", [("roi_side", float("nan")),
+                                          ("n_actors", -3),
+                                          ("max_mission_time", -1.0),
+                                          ("dt_sim", 0.0),
+                                          ("ceiling", float("inf"))])
+def test_scenario_config_rejects_bad_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
