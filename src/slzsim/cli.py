@@ -118,6 +118,10 @@ def build_run_config(args) -> RunConfig:
             height=g("camera", "height", default_cam.height, int),
         )
         plane = HeadPlane(h_h=g("plane", "h_h", 1.7))
+        for name in ("start_altitude", "ceiling"):
+            if getattr(scenario, name) <= plane.h_h:
+                raise ValueError(f"{name} must be above the head plane "
+                                 f"(h_h = {plane.h_h})")
         slz_cfg = SlzConfig(n_p=g("slz", "n_p", 10, int),
                             r0=g("slz", "r0", 1.0))
         cell_size = g("grid", "cell_size", 0.10)
@@ -272,8 +276,16 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ConfigError (exit 64)
+    instead of SystemExit(2), which would read as a collision."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slzsim",
         description="Safe-landing-zone pipeline simulator and evaluator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -308,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -58,16 +58,16 @@ def ground_truth_slz(heads, grid_template: PlaneGrid,
     grid = grid_template.copy()
     half = PERSONAL_SPACE_SIDE / 2
     cell = grid.cell_size
-    heads = np.asarray(heads, dtype=float).reshape(-1, 2)
-    for hx, hy in heads:
-        j0 = int(np.ceil((hx - half - grid.origin_x) / cell - 1e-9))
-        j1 = int(np.floor((hx + half - grid.origin_x) / cell + 1e-9))
-        i0 = int(np.ceil((hy - half - grid.origin_y) / cell - 1e-9))
-        i1 = int(np.floor((hy + half - grid.origin_y) / cell + 1e-9))
-        if j1 < 0 or i1 < 0 or j0 >= grid.cols or i0 >= grid.rows:
-            continue
-        grid.values[max(i0, 0):min(i1, grid.rows - 1) + 1,
-                    max(j0, 0):min(j1, grid.cols - 1) + 1] = 0
+    hx, hy = np.asarray(heads, dtype=float).reshape(-1, 2).T
+    i0 = np.maximum(np.ceil((hy - half - grid.origin_y) / cell - 1e-9), 0)
+    i1 = np.minimum(np.floor((hy + half - grid.origin_y) / cell + 1e-9),
+                    grid.rows - 1)
+    j0 = np.maximum(np.ceil((hx - half - grid.origin_x) / cell - 1e-9), 0)
+    j1 = np.minimum(np.floor((hx + half - grid.origin_x) / cell + 1e-9),
+                    grid.cols - 1)
+    boxes = np.stack([i0, i1 + 1, j0, j1 + 1], axis=1)
+    for a, b, c, d in boxes[(i0 <= i1) & (j0 <= j1)].astype(int).tolist():
+        grid.values[a:b, c:d] = 0
     return [(p.cx, p.cy, p.radius) for p in extract_slz(grid, cfg)]
 
 

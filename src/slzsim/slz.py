@@ -4,10 +4,20 @@ The largest people-free circle is located as the maximum of the Euclidean
 distance transform of the occupancy grid. The found disk is then rasterized
 as occupied and the search repeats, yielding up to n_p candidates with
 radius at least r0.
+
+Extraction computes one distance transform per call, over the window of
+the grid that holds its free cells, and then updates it locally after each
+disk. Painting a disk of radius R only lowers distances, and no distance
+exceeds R (R is the maximum), so only cells within 2R of the centre can
+change; there the map is lowered to the distance to the new disk. Every
+distance is the square root of an exact integer, and the minimum commutes
+with sqrt and scaling, so the result is bit-identical to a full transform
+of the whole grid after every disk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,30 +91,75 @@ def euclidean_distance_transform(grid) -> DistanceMap:
                        grid.cell_size)
 
 
+def _disk_distance_cells(rc2: float, half: int) -> np.ndarray:
+    """Distance (cell units) from offset (a, b), 0 <= a, b <= half, to the
+    nearest cell of the disk a^2 + b^2 <= rc2 centred at (0, 0); the
+    comparison runs in squared cell units to dodge float rounding at the
+    rim.
+
+    One quadrant suffices: clamping a disk cell's offsets to >= 0 keeps it
+    in the disk and brings it no farther from a point of this quadrant.
+    """
+    a = np.arange(half + 1)
+    return ndimage.distance_transform_edt(
+        a[:, None] ** 2 + a[None, :] ** 2 > rc2 + 1e-9)
+
+
 def extract_slz(grid, cfg: SlzConfig, frame_index: int = 0) -> list[SlzProposal]:
     """Iteratively extract the biggest inscribed circles with radius >= r0.
 
-    Each emitted disk is rasterized as occupied in a working copy before the
-    next search; results come out in extraction order (non-increasing radius).
-    Tie locations resolve to the lowest (row, col).
+    Each emitted disk is rasterized as occupied before the next search;
+    results come out in extraction order (non-increasing radius). Tie
+    locations resolve to the lowest (row, col).
+
+    The distance map (metres) is computed once, inside the bounding box of
+    the free cells grown by one cell: every cell outside it is occupied,
+    and the box's occupied rim is nearer to a cell inside than any cell
+    beyond it. After a disk of radius R cells, only the box of half-width
+    ceil(2R) + 1 around its centre is updated: the map is lowered there to
+    the distance to the disk. A cell outside that box is more than R from
+    every disk cell, so it keeps its distance. A fully free grid starts
+    from the boundary distance, which is no distance transform, so after
+    its first disk the full transform is taken instead.
     """
-    work = grid.values.copy()
     cell = grid.cell_size
+    free = grid.values != 0
+    free_rows = np.flatnonzero(free.any(axis=1))
+    if not len(free_rows):
+        return []
+    free_cols = np.flatnonzero(free.any(axis=0))
+    top, left = max(free_rows[0] - 1, 0), max(free_cols[0] - 1, 0)
+    free = free[top:free_rows[-1] + 2, left:free_cols[-1] + 2]
+    rows, cols = free.shape
+    fully_free = bool(free.all())  # only when the window is the whole grid
+    if fully_free:
+        dist = _boundary_distance_cells(rows, cols) * cell
+    else:
+        dist = ndimage.distance_transform_edt(free) * cell
     proposals = []
-    for _ in range(cfg.n_p):
-        dist = _distance_cells(work) * cell
+    while True:
         flat = int(np.argmax(dist))  # first occurrence = lowest (row, col)
         radius = float(dist.flat[flat])
         if radius < cfg.r0:
             break
-        i, j = divmod(flat, grid.cols)
-        cx = grid.origin_x + j * cell
-        cy = grid.origin_y + i * cell
+        i, j = divmod(flat, cols)
+        cx = grid.origin_x + (left + j) * cell
+        cy = grid.origin_y + (top + i) * cell
         proposals.append(SlzProposal(cx, cy, radius, frame_index))
-        # mark every cell whose center lies within the found radius;
-        # compare in squared cell units to dodge float rounding at the rim
-        di = (np.arange(grid.rows) - i)[:, None]
-        dj = (np.arange(grid.cols) - j)[None, :]
-        rc2 = (radius / cell) ** 2
-        work[di * di + dj * dj <= rc2 + 1e-9] = 0
+        if len(proposals) == cfg.n_p:
+            break
+        half = math.ceil(2 * radius / cell) + 1
+        i0, i1 = max(i - half, 0), min(i + half + 1, rows)
+        j0, j1 = max(j - half, 0), min(j + half + 1, cols)
+        disk = _disk_distance_cells((radius / cell) ** 2, half)
+        disk = disk[np.ix_(np.abs(np.arange(i0 - i, i1 - i)),
+                           np.abs(np.arange(j0 - j, j1 - j)))]
+        if fully_free:
+            work = np.ones((rows, cols), dtype=bool)
+            work[i0:i1, j0:j1] = disk > 0
+            dist = ndimage.distance_transform_edt(work) * cell
+            fully_free = False
+        else:
+            box = dist[i0:i1, j0:j1]
+            np.minimum(box, disk * cell, out=box)
     return proposals

@@ -62,12 +62,36 @@ def test_run_render_emits_one_ppm_per_perception_frame(tmp_path):
     assert len(list(out.glob("*_occ.pgm"))) == n_perception
 
 
-def test_run_start_below_head_plane_exits_70(tmp_path, capsys):
-    cfg = _ini(tmp_path, "[scenario]\nstart_altitude = 1\n")
-    assert main(["run", "--config", cfg, *FAST,
+@pytest.mark.parametrize("key", ["start_altitude", "ceiling"])
+@pytest.mark.parametrize("value", ["1", "1.7"])
+def test_run_at_or_below_head_plane_exits_64(tmp_path, capsys, key, value):
+    cfg = _ini(tmp_path, f"[scenario]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, *FAST, "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert key in err and "head plane" in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any world is spawned
+
+
+def test_run_placement_failure_exits_70(tmp_path, capsys):
+    cfg = _ini(tmp_path, "[scenario]\nroi_side = 1\nn_actors = 50\n")
+    assert main(["run", "--config", cfg, "--seed", "1",
                  "--out", str(tmp_path / "o")]) == 70
     err = capsys.readouterr().err
-    assert "DegenerateView" in err and "Traceback" not in err
+    assert "PlacementFailure" in err and "Traceback" not in err
+
+
+def test_usage_error_exits_64_not_collision_code(capsys):
+    assert main(["run", "--criterion", "nearest"]) == 64
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "invalid choice: 'nearest'" in err
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,34 @@ def test_random_maps_match_dilation_oracle():
         assert np.array_equal(occ.values == 0, dilate_5x5_oracle(person))
 
 
+def _border_masks():
+    """Person masks that put pixels on the image border, where a separable
+    filter's edge mode could go wrong; includes images narrower than the
+    9x9 square."""
+    rng = np.random.default_rng(24)
+    for rows, cols in ((32, 32), (17, 40), (9, 9), (6, 4), (3, 11), (1, 1)):
+        mask = np.zeros((rows, cols), dtype=bool)
+        mask[0, 0] = True
+        yield mask.copy()  # a single pixel at (0, 0)
+        mask[0, -1] = mask[-1, 0] = mask[-1, -1] = True
+        yield mask.copy()  # all four corners
+        for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            line = np.zeros((rows, cols), dtype=bool)
+            line[edge] = rng.random(line[edge].shape) < 0.3
+            line[edge][0] = True
+            yield line  # person pixels along one edge
+
+
+def test_border_maps_match_dilation_oracle():
+    for person in _border_masks():
+        values = np.where(person, 1.0, 0.0)
+        occ = occupancy_from_density(DensityMap(values))
+        if person.all():  # no background left: nothing counts as a person
+            assert (occ.values == 255).all()
+        else:
+            assert np.array_equal(occ.values == 0, dilate_5x5_oracle(person))
+
+
 def test_strictly_positive_map_unique_minimum():
     # the unique minimum pixel is the only pre-dilation free pixel; it gets
     # swallowed whenever any person pixel is within Chebyshev distance 4

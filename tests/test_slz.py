@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slzsim import PlaneGrid, SlzConfig, euclidean_distance_transform, extract_slz
 
@@ -108,6 +111,77 @@ def test_first_proposal_matches_brute_force_oracle():
         gi = round((p.cy - grid.origin_y) / grid.cell_size)
         gj = round((p.cx - grid.origin_x) / grid.cell_size)
         assert abs(gi - i) <= 1 and abs(gj - j) <= 1
+
+
+def _oracle_sequence(grid, cfg):
+    """Every proposal re-derived by brute force: the distances are
+    recomputed from scratch after each disk is painted, and a fully free
+    grid starts from the boundary distance."""
+    work = grid.values.copy()
+    cell = grid.cell_size
+    ii, jj = np.indices(work.shape)
+    out = []
+    while len(out) < cfg.n_p:
+        if (work == 0).any():
+            d2 = brute_force_sqdist_cells(work)
+            dist = np.sqrt(d2.astype(float)) * cell
+        else:
+            dist = boundary_distance_cells(*work.shape) * cell
+        i, j = np.unravel_index(np.argmax(dist), work.shape)  # lowest (row, col)
+        radius = float(dist[i, j])
+        if radius < cfg.r0:
+            break
+        out.append((grid.origin_x + j * cell, grid.origin_y + i * cell, radius))
+        work[(ii - i) ** 2 + (jj - j) ** 2 <= (radius / cell) ** 2 + 1e-9] = 0
+    return out
+
+
+def _assert_sequence_matches_oracle(grid, cfg):
+    got = [(p.cx, p.cy, p.radius) for p in extract_slz(grid, cfg)]
+    assert got == _oracle_sequence(grid, cfg)
+
+
+def _edge_grids():
+    """Grids whose first circle touches the grid edge, or whose free cells
+    sit in a window of an occupied grid, so the updated box around each
+    disk is clipped."""
+    values = np.full((30, 40), 255)
+    values[29, 39] = 0  # first circle centred on the opposite corner
+    yield _grid(values, cell=0.25)
+    values = np.full((24, 24), 255)
+    values[10:14, 10:14] = 0  # one block in the middle: circles in corners
+    yield _grid(values, cell=0.5, ox=-3.0, oy=2.0)
+    values = np.full((5, 60), 255)
+    values[:, 30] = 0  # thin strip: every box clipped top and bottom
+    yield _grid(values, cell=0.1)
+    values = np.zeros((40, 50))
+    values[6:30, 9:41] = 255  # free window inside an occupied frame
+    values[12, 20] = values[25, 33] = 0
+    yield _grid(values, cell=0.2)
+    values = np.zeros((20, 20))
+    values[0:7, 13:20] = 255  # free window in the grid's corner
+    yield _grid(values, cell=0.1)
+
+
+def test_extraction_sequence_matches_brute_force_oracle():
+    rng = np.random.default_rng(36)
+    grids = [_random_grid(rng, max_side=24, p_occ=p)
+             for p in (0.01, 0.03, 0.1) for _ in range(10)]
+    grids += [_grid(np.full((17, 23), 255), cell=0.3),
+              _grid(np.full((40, 40), 255), cell=0.25)]
+    grids += list(_edge_grids())
+    for grid in grids:
+        for r0 in (grid.cell_size * 0.51, grid.cell_size * 2):
+            _assert_sequence_matches_oracle(grid, SlzConfig(n_p=10, r0=r0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 14), st.integers(1, 14)),
+              elements=st.sampled_from([0, 255, 255, 255])),
+       st.sampled_from([0.1, 0.25, 1.0]))
+def test_extraction_sequence_matches_oracle_on_small_grids(values, cell):
+    grid = _grid(values, cell=cell, ox=1.5, oy=-2.0)
+    _assert_sequence_matches_oracle(grid, SlzConfig(n_p=10, r0=cell * 0.51))
 
 
 def test_proposal_invariants():
