@@ -1,7 +1,8 @@
 """Command-line entry point: run, batch, replay.
 
-Configuration is a flat INI file; command-line flags override file values,
-which override built-in defaults. Batch summaries are split into a
+Configuration is an INI file whose sections map onto the config objects,
+one key per field; command-line flags override file values, which override
+the objects' defaults. Batch summaries are split into a
 deterministic summary.csv / aggregate.csv pair and a wall-clock timings.csv
 so identical invocations produce byte-identical summaries.
 """
@@ -11,10 +12,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import fileio, metrics, render
 from .density import OracleNoiseConfig
@@ -46,14 +46,20 @@ class RunConfig:
     slz: SlzConfig
     tracker: TrackerConfig
     noise: OracleNoiseConfig
-    cell_size: float
-    margin: float
-    out_dir: Path
-    render: bool
+    cell_size: float = 0.10
+    margin: float = 1.0
+    out_dir: Path = Path("out")
+    render: bool = False
+
+    def __post_init__(self):
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be finite and positive")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError("margin must be finite and non-negative")
 
 
 def _load_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -62,96 +68,78 @@ def _load_ini(path) -> configparser.ConfigParser:
             parser.read(p)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}]: unknown section")
     return parser
 
 
-def _get(parser, section, key, default, cast):
-    if parser.has_option(section, key):
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# declared field type (the first of a union) -> parser of its INI text
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool,
+            "Path": Path}
+
+
+def _section(ini, name, base, keys=None, **flags):
+    """`base` with the keys of INI section `name` replaced, then `flags`.
+
+    Each key must name a field of `base` (one of `keys`, if given) and is
+    parsed by the field's declared type; an empty value reads as None where
+    the type allows it. The section is consumed, so any left in `ini` at
+    the end is unknown. The constructor of `base` validates the result.
+    """
+    types = {f.name: f.type.split(" | ") for f in dataclasses.fields(base)
+             if keys is None or f.name in keys}
+    values = {}
+    for key, text in ini.items(name) if ini.has_section(name) else ():
+        if key not in types:
+            raise ConfigError(f"[{name}] {key}: unknown key")
         try:
-            return cast(parser.get(section, key))
+            values[key] = (None if text == "" and "None" in types[key]
+                           else _PARSERS[types[key][0]](text))
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    return default
+            raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    ini.remove_section(name)
+    try:
+        return dataclasses.replace(base, **{**values, **flags})
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def build_run_config(args) -> RunConfig:
     ini = _load_ini(args.config)
-    g = lambda sec, key, default, cast=float: _get(ini, sec, key, default, cast)
-
-    seed = g("scenario", "seed", 0, int)
-    if args.seed is not None:
-        seed = args.seed
-    frac_moving = g("scenario", "frac_moving", 0.0)
-    if args.frac_moving is not None:
-        frac_moving = args.frac_moving
-    n_actors = g("scenario", "n_actors", None,
-                 lambda s: None if s == "" else int(s))
-    if args.actors is not None:
-        n_actors = args.actors
-    criterion = g("scenario", "criterion", "biggest", str)
-    if args.criterion is not None:
-        criterion = args.criterion
-
-    try:
-        scenario = ScenarioConfig(
-            roi_side=g("scenario", "roi_side", 30.0),
-            n_actors=n_actors,
-            frac_moving=frac_moving,
-            seed=seed,
-            dt_sim=g("scenario", "dt_sim", 0.1),
-            criterion=criterion,
-            max_mission_time=g("scenario", "max_mission_time", 60.0),
-            start_altitude=g("scenario", "start_altitude", 10.0),
-            ceiling=g("scenario", "ceiling", 12.0),
-            body_radius=g("scenario", "body_radius", 0.3),
-            drone_radius=g("scenario", "drone_radius", 0.25),
-            speed_xy=g("scenario", "speed_xy", 2.0),
-            speed_z=g("scenario", "speed_z", 1.0),
-        )
-        default_cam = default_camera()
-        cam = CameraModel(
-            fx=g("camera", "fx", default_cam.fx),
-            fy=g("camera", "fy", default_cam.fy),
-            cx=g("camera", "cx", default_cam.cx),
-            cy=g("camera", "cy", default_cam.cy),
-            width=g("camera", "width", default_cam.width, int),
-            height=g("camera", "height", default_cam.height, int),
-        )
-        plane = HeadPlane(h_h=g("plane", "h_h", 1.7))
-        for name in ("start_altitude", "ceiling"):
-            if getattr(scenario, name) <= plane.h_h:
-                raise ValueError(f"{name} must be above the head plane "
-                                 f"(h_h = {plane.h_h})")
-        slz_cfg = SlzConfig(n_p=g("slz", "n_p", 10, int),
-                            r0=g("slz", "r0", 1.0))
-        cell_size = g("grid", "cell_size", 0.10)
-        margin = g("grid", "margin", 1.0)
-        base_tracker = default_tracker_config(scenario.dt_sim, cell_size)
-        tracker = TrackerConfig(
-            sigma_a=g("tracker", "sigma_a", base_tracker.sigma_a),
-            r_meas=np.eye(3) * g("tracker", "r_meas", 0.25),
-            dt=g("tracker", "dt", scenario.dt_sim),
-            n_p=g("tracker", "n_p", base_tracker.n_p, int),
-            iou_gate=g("tracker", "iou_gate", base_tracker.iou_gate),
-            mu1=g("tracker", "mu1", base_tracker.mu1, int),
-            mu2=g("tracker", "mu2", base_tracker.mu2, int),
-            min_radius=g("tracker", "min_radius", base_tracker.min_radius),
-        )
-        noise = OracleNoiseConfig(
-            sigma_px=g("noise", "sigma_px", 3.0),
-            fp_rate=g("noise", "fp_rate", 0.0),
-            fn_rate=g("noise", "fn_rate", 0.0),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out_dir = Path(args.out if args.out is not None
-                   else g("output", "out_dir", "out", str))
-    do_render = bool(args.render) or g("output", "render", False,
-                                       lambda s: s.lower() in ("1", "true", "yes"))
-    return RunConfig(scenario, cam, plane, slz_cfg, tracker, noise,
-                     cell_size, margin, out_dir, do_render)
+    flags = {"seed": args.seed, "frac_moving": args.frac_moving,
+             "n_actors": args.actors, "criterion": args.criterion}
+    scenario = _section(ini, "scenario", ScenarioConfig(),
+                        **{k: v for k, v in flags.items() if v is not None})
+    plane = _section(ini, "plane", HeadPlane())
+    for name in ("start_altitude", "ceiling"):
+        if getattr(scenario, name) <= plane.h_h:
+            raise ConfigError(f"[scenario] {name} must be above the head "
+                              f"plane (h_h = {plane.h_h})")
+    rc = RunConfig(
+        scenario, _section(ini, "camera", default_camera()), plane,
+        _section(ini, "slz", SlzConfig()),
+        None,  # the tracker: its defaults depend on the grid, read below
+        _section(ini, "noise", OracleNoiseConfig(seed=scenario.seed),
+                 keys=("sigma_px", "fp_rate", "fn_rate")))
+    rc = _section(ini, "grid", rc, keys=("cell_size", "margin"))
+    output = {"out_dir": Path(args.out)} if args.out is not None else {}
+    if args.render:
+        output["render"] = True
+    rc = _section(ini, "output", rc, keys=("out_dir", "render"), **output)
+    rc.tracker = _section(ini, "tracker",
+                          default_tracker_config(scenario.dt_sim, rc.cell_size))
+    if ini.sections():
+        name = ini.sections()[0]
+        raise ConfigError(f"[{name}]: unknown section "
+                          f"(keys: {', '.join(ini.options(name))})")
+    return rc
 
 
 def _run_one(rc: RunConfig, seed: int, criterion: str | None = None,
@@ -174,11 +162,10 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _summary_row(log: MissionLog) -> list:
-    rep = metrics.aggregate([log])
-    return [log.seed, log.outcome, len(log.frames), rep.warning_avg,
-            rep.danger_avg, rep.slz_area_avg, rep.best_iou_avg,
-            rep.nearest_person_avg]
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -213,27 +200,22 @@ def cmd_batch(args) -> int:
     for i in range(args.runs):
         logs.append(_run_one(rc, base + i))
 
-    with open(rc.out_dir / "summary.csv", "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for log in logs:
-            fh.write(",".join(_fmt_cell(v) for v in _summary_row(log)) + "\n")
-
+    reps = [metrics.aggregate([log]) for log in logs]
+    _write_csv(rc.out_dir / "summary.csv", SUMMARY_COLUMNS,
+               [[log.seed, log.outcome, len(log.frames), r.warning_avg,
+                 r.danger_avg, r.slz_area_avg, r.best_iou_avg,
+                 r.nearest_person_avg] for log, r in zip(logs, reps)])
     rep = metrics.aggregate(logs)
-    with open(rc.out_dir / "aggregate.csv", "w") as fh:
-        fh.write("metric,value\n")
-        for key in ("success_rate", "warning_avg", "warning_std", "danger_avg",
-                    "danger_std", "slz_area_avg", "best_iou_avg",
-                    "nearest_person_avg", "n_missions", "n_frames"):
-            fh.write(f"{key},{_fmt_cell(getattr(rep, key))}\n")
-
+    _write_csv(rc.out_dir / "aggregate.csv", ["metric", "value"],
+               [[key, getattr(rep, key)] for key in (
+                   "success_rate", "warning_avg", "warning_std", "danger_avg",
+                   "danger_std", "slz_area_avg", "best_iou_avg",
+                   "nearest_person_avg", "n_missions", "n_frames")])
     # wall-clock timings are non-deterministic and live in a sidecar file
-    with open(rc.out_dir / "timings.csv", "w") as fh:
-        fh.write("seed,exec_time_avg,exec_time_max,exec_time_min\n")
-        for log in logs:
-            r = metrics.aggregate([log])
-            fh.write(f"{log.seed},{_fmt_cell(r.exec_time_avg)},"
-                     f"{_fmt_cell(r.exec_time_max)},{_fmt_cell(r.exec_time_min)}\n")
-
+    _write_csv(rc.out_dir / "timings.csv",
+               ["seed", "exec_time_avg", "exec_time_max", "exec_time_min"],
+               [[log.seed, r.exec_time_avg, r.exec_time_max, r.exec_time_min]
+                for log, r in zip(logs, reps)])
     print(f"{args.runs} missions: success_rate={rep.success_rate:.3f}")
     return EXIT_OK
 
@@ -254,21 +236,16 @@ def cmd_replay(args) -> int:
         criterion=rc.scenario.criterion, cell_size=rc.cell_size,
         margin=rc.margin)
 
-    with open(rc.out_dir / "replay_frames.csv", "w") as fh:
-        fh.write("frame_id,n_heads,n_proposals,warning,danger,"
-                 "slz_area,best_iou,exec_time\n")
-        for r in rows:
-            fh.write(",".join(_fmt_cell(v) for v in
-                              (r.frame_id, r.n_heads, r.n_proposals, r.warning,
-                               r.danger, r.slz_area, r.best_iou,
-                               r.exec_time)) + "\n")
-    with open(rc.out_dir / "replay_summary.csv", "w") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"n_frames,{rep.n_frames}\n")
-        for key in ("warning_avg", "warning_std", "danger_avg", "danger_std",
-                    "slz_area_avg", "best_iou_avg", "exec_time_avg",
-                    "exec_time_max", "exec_time_min"):
-            fh.write(f"{key},{_fmt_cell(getattr(rep, key))}\n")
+    _write_csv(rc.out_dir / "replay_frames.csv",
+               ["frame_id", "n_heads", "n_proposals", "warning", "danger",
+                "slz_area", "best_iou", "exec_time"],
+               [[r.frame_id, r.n_heads, r.n_proposals, r.warning, r.danger,
+                 r.slz_area, r.best_iou, r.exec_time] for r in rows])
+    _write_csv(rc.out_dir / "replay_summary.csv", ["metric", "value"],
+               [[key, getattr(rep, key)] for key in (
+                   "n_frames", "warning_avg", "warning_std", "danger_avg",
+                   "danger_std", "slz_area_avg", "best_iou_avg",
+                   "exec_time_avg", "exec_time_max", "exec_time_min")])
     if not rows:
         print("replay: no frames in annotation stream")
     else:

@@ -11,6 +11,7 @@ to two 5x5) and inverts, so the final map has 255 = people-free and
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,10 @@ class OracleNoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_px <= 0:
-            raise ValueError("sigma_px must be positive")
-        if self.fp_rate < 0:
-            raise ValueError("fp_rate must be non-negative")
+        if not 0 < self.sigma_px < math.inf:
+            raise ValueError("sigma_px must be finite and positive")
+        if not 0 <= self.fp_rate < math.inf:
+            raise ValueError("fp_rate must be finite and non-negative")
         if not 0 <= self.fn_rate < 1:
             raise ValueError("fn_rate must be in [0, 1)")
 

@@ -6,7 +6,6 @@ cycle is byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -143,7 +142,7 @@ def write_mission_log(path, log: MissionLog) -> None:
                 "policy": log.policy, "start_altitude": log.start_altitude}
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for frame in log.frames:
-            rec = {"type": "frame", **dataclasses.asdict(frame)}
+            rec = {"type": "frame", **vars(frame)}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         term = {"type": "outcome", "outcome": log.outcome,
                 "touchdown": log.touchdown}

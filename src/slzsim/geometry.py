@@ -20,6 +20,7 @@ frame: p_dst = R @ p_src + t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +78,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths fx and fy must be finite and positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -96,8 +97,8 @@ class HeadPlane:
     h_h: float = 1.7
 
     def __post_init__(self):
-        if self.h_h <= 0:
-            raise ValueError("head plane height must be positive")
+        if not 0 < self.h_h < math.inf:
+            raise ValueError("head plane height h_h must be finite and positive")
 
 
 @dataclass

@@ -29,14 +29,6 @@ class DistanceMap:
     values: np.ndarray      # meters, shape (rows, cols), 0 on occupied cells
     cell_size: float
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class SlzProposal:
@@ -58,8 +50,8 @@ class SlzConfig:
     def __post_init__(self):
         if self.n_p < 1:
             raise ValueError("n_p must be at least 1")
-        if self.r0 <= 0:
-            raise ValueError("r0 must be positive")
+        if not 0 < self.r0 < math.inf:
+            raise ValueError("r0 must be finite and positive")
 
 
 def _boundary_distance_cells(rows: int, cols: int) -> np.ndarray:
@@ -72,13 +64,13 @@ def _boundary_distance_cells(rows: int, cols: int) -> np.ndarray:
     return np.minimum(di[:, None], dj[None, :])
 
 
-def _distance_cells(values: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance to the nearest occupied cell center, in cell
-    units; falls back to the grid boundary when no cell is occupied."""
-    occupied = values == 0
-    if occupied.any():
-        return ndimage.distance_transform_edt(~occupied)
-    return _boundary_distance_cells(*values.shape)
+def _distance_cells(free: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from each cell of the boolean `free` map to
+    the nearest occupied cell center, in cell units; falls back to the grid
+    boundary when no cell is occupied."""
+    if free.all():
+        return _boundary_distance_cells(*free.shape)
+    return ndimage.distance_transform_edt(free)
 
 
 def euclidean_distance_transform(grid) -> DistanceMap:
@@ -87,7 +79,7 @@ def euclidean_distance_transform(grid) -> DistanceMap:
     Fully free grids measure distance to the grid boundary instead, so
     landing proposals never extend past the mapped region.
     """
-    return DistanceMap(_distance_cells(grid.values) * grid.cell_size,
+    return DistanceMap(_distance_cells(grid.values != 0) * grid.cell_size,
                        grid.cell_size)
 
 
@@ -131,11 +123,8 @@ def extract_slz(grid, cfg: SlzConfig, frame_index: int = 0) -> list[SlzProposal]
     top, left = max(free_rows[0] - 1, 0), max(free_cols[0] - 1, 0)
     free = free[top:free_rows[-1] + 2, left:free_cols[-1] + 2]
     rows, cols = free.shape
+    dist = _distance_cells(free) * cell
     fully_free = bool(free.all())  # only when the window is the whole grid
-    if fully_free:
-        dist = _boundary_distance_cells(rows, cols) * cell
-    else:
-        dist = ndimage.distance_transform_edt(free) * cell
     proposals = []
     while True:
         flat = int(np.argmax(dist))  # first occurrence = lowest (row, col)

@@ -20,7 +20,7 @@ from .errors import SingularInnovation
 @dataclass(frozen=True)
 class TrackerConfig:
     sigma_a: float = 0.5                 # acceleration uncertainty
-    r_meas: np.ndarray = None            # 3x3 measurement covariance
+    r_meas: float | np.ndarray = 0.25    # variance, or 3x3 measurement covariance
     dt: float = 0.1                      # frame interval (s)
     n_p: int = 10                        # max live trackers
     iou_gate: float = 0.2                # minimum IoU for a valid match
@@ -29,17 +29,20 @@ class TrackerConfig:
     min_radius: float = 0.1              # radius clamp after update (one cell)
 
     def __post_init__(self):
-        if self.r_meas is None:
-            r = np.eye(3) * 0.25
-        elif np.isscalar(self.r_meas):
+        if np.isscalar(self.r_meas):
             r = np.eye(3) * float(self.r_meas)
         else:
             r = np.asarray(self.r_meas, dtype=float)
         if r.shape != (3, 3):
             raise ValueError("r_meas must be a 3x3 matrix")
+        if not np.isfinite(r).all():
+            raise ValueError("r_meas must be finite")
         object.__setattr__(self, "r_meas", r)
-        if self.sigma_a <= 0 or self.dt <= 0 or self.n_p < 1:
-            raise ValueError("sigma_a, dt must be positive and n_p >= 1")
+        for name in ("sigma_a", "dt", "min_radius"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.n_p < 1:
+            raise ValueError("n_p must be at least 1")
         if not 0 < self.iou_gate < 1:
             raise ValueError("iou_gate must be in (0, 1)")
         if self.mu1 < 1 or self.mu2 < 1:

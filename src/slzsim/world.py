@@ -88,9 +88,10 @@ class ScenarioConfig:
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        if min(self.roi_side, self.dt_sim, self.max_mission_time) <= 0:
-            raise ValueError(
-                "roi_side, dt_sim and max_mission_time must be positive")
+        for name in ("roi_side", "dt_sim", "max_mission_time", "body_radius",
+                     "drone_radius", "speed_xy", "speed_z", "abort_hold_time"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if (self.n_actors or 0) < 0:
             raise ValueError("n_actors must be non-negative")
         if not 0 <= self.frac_moving <= 1:

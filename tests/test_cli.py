@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: run, batch, replay, exit codes."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from slzsim import aggregate
-from slzsim.cli import main
+from slzsim.cli import build_parser, build_run_config, main
 from slzsim.fileio import load_mission_log, write_annotations, write_poses
 
 
@@ -48,6 +51,119 @@ def test_run_missing_config_exits_64(tmp_path):
 def test_run_invalid_config_value_exits_64(tmp_path):
     cfg = _ini(tmp_path, "[scenario]\nfrac_moving = 2.0\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+
+
+BAD_INI = [("slz", "r0", "nan"), ("plane", "h_h", "nan"),
+           ("camera", "fx", "nan"), ("noise", "fp_rate", "inf"),
+           ("tracker", "sigma_a", "nan"), ("tracker", "r_meas", "nan"),
+           ("tracker", "min_radius", "-1"), ("grid", "cell_size", "nan"),
+           ("grid", "margin", "-5"), ("scenario", "body_radius", "-1"),
+           ("noise", "sigma_px", "nan"), ("scenario", "speed_z", "-1"),
+           ("output", "render", "maybe"), ("scenario", "roi_sid", "20"),
+           ("scenari", "roi_side", "20")]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_INI)
+def test_run_bad_ini_value_exits_64(tmp_path, capsys, section, key, value):
+    cfg = _ini(tmp_path, f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--seed", "1", "--actors", "5", "--config", cfg,
+                 "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"[{section}]" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# every accepted key, at its default value
+ALL_DEFAULTS_INI = """
+[scenario]
+roi_side = 30.0
+n_actors =
+frac_moving = 0.0
+seed = 0
+dt_sim = 0.1
+criterion = biggest
+max_mission_time = 60.0
+start_altitude = 10.0
+ceiling = 12.0
+body_radius = 0.3
+drone_radius = 0.25
+speed_xy = 2.0
+speed_z = 1.0
+abort_hold_time = 10.0
+
+[camera]
+fx = 128.0
+fy = 128.0
+cx = 128.0
+cy = 128.0
+width = 256
+height = 256
+
+[plane]
+h_h = 1.7
+
+[slz]
+n_p = 10
+r0 = 1.0
+
+[grid]
+cell_size = 0.10
+margin = 1.0
+
+[tracker]
+sigma_a = 0.5
+r_meas = 0.25
+dt = 0.1
+n_p = 10
+iou_gate = 0.15
+mu1 = 15
+mu2 = 3
+min_radius = 0.1
+
+[noise]
+sigma_px = 3.0
+fp_rate = 0.0
+fn_rate = 0.0
+
+[output]
+out_dir = out
+render = false
+"""
+
+
+def _run_config(*argv):
+    return build_run_config(build_parser().parse_args(["run", *argv]))
+
+
+def _assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_fields(x, y)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+def test_ini_with_every_key_at_default_equals_no_file(tmp_path):
+    cfg = _ini(tmp_path, ALL_DEFAULTS_INI)
+    _assert_same_fields(_run_config("--config", cfg), _run_config())
+
+
+def test_ini_abort_hold_time_reaches_scenario(tmp_path):
+    cfg = _ini(tmp_path, "[scenario]\nabort_hold_time = 0.5\n")
+    assert _run_config("--config", cfg).scenario.abort_hold_time == 0.5
+
+
+def test_ini_noise_seed_is_not_a_key(tmp_path, capsys):
+    cfg = _ini(tmp_path, "[noise]\nseed = 3\n")
+    assert main(["run", *FAST, "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 64
+    assert "[noise] seed: unknown key" in capsys.readouterr().err
 
 
 def test_run_render_emits_one_ppm_per_perception_frame(tmp_path):
@@ -179,3 +295,15 @@ def test_seed_precedence(tmp_path):
     out_default = tmp_path / "default"
     assert main(["run", "--actors", "0", "--out", str(out_default)]) == 0
     assert (out_default / "mission_0.jsonl").exists()
+
+
+def test_flag_overrides_file_value_of_same_key(tmp_path):
+    cfg = _ini(tmp_path, "[scenario]\nn_actors = 50\nfrac_moving = 0.5\n"
+                         "[output]\nout_dir = from_file\n")
+    rc = _run_config("--config", cfg, "--actors", "3", "--frac-moving", "0.1",
+                     "--out", str(tmp_path / "flag"), "--render")
+    assert rc.scenario.n_actors == 3 and rc.scenario.frac_moving == 0.1
+    assert rc.out_dir == tmp_path / "flag" and rc.render
+    rc = _run_config("--config", cfg)
+    assert rc.scenario.n_actors == 50 and rc.scenario.frac_moving == 0.5
+    assert str(rc.out_dir) == "from_file" and not rc.render

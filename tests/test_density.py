@@ -41,6 +41,16 @@ def test_noise_config_validation():
         OracleNoiseConfig(fp_rate=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [("sigma_px", float("nan")),
+                                          ("sigma_px", float("inf")),
+                                          ("fp_rate", float("nan")),
+                                          ("fp_rate", float("inf")),
+                                          ("fn_rate", float("nan"))])
+def test_noise_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        OracleNoiseConfig(**{field: value})
+
+
 def test_density_map_rejects_negative():
     with pytest.raises(ValueError):
         DensityMap(np.array([[0.0, -1.0]]))

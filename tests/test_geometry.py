@@ -250,3 +250,17 @@ def test_camera_model_validation():
         CameraModel(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
     with pytest.raises(ValueError):
         CameraModel(fx=1, fy=1, cx=20, cy=0, width=10, height=10)
+
+
+@pytest.mark.parametrize("field", ["fx", "fy"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_camera_model_rejects_bad_focal_length(field, value):
+    kw = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
+    with pytest.raises(ValueError, match=field):
+        CameraModel(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("h_h", [float("nan"), float("inf"), -1.0])
+def test_head_plane_rejects_bad_height(h_h):
+    with pytest.raises(ValueError, match="h_h"):
+        HeadPlane(h_h)

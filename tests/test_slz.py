@@ -235,3 +235,9 @@ def test_slz_config_validation():
         SlzConfig(n_p=0)
     with pytest.raises(ValueError):
         SlzConfig(r0=0.0)
+
+
+@pytest.mark.parametrize("r0", [float("nan"), float("inf"), -1.0])
+def test_slz_config_rejects_non_finite_r0(r0):
+    with pytest.raises(ValueError, match="r0"):
+        SlzConfig(r0=r0)

@@ -42,6 +42,20 @@ def test_config_validation():
     assert np.allclose(cfg.r_meas, 0.5 * np.eye(3))
 
 
+@pytest.mark.parametrize("field, value", [("sigma_a", float("nan")),
+                                          ("sigma_a", float("inf")),
+                                          ("dt", float("nan")),
+                                          ("dt", -0.1),
+                                          ("min_radius", float("nan")),
+                                          ("min_radius", -1.0),
+                                          ("r_meas", float("nan")),
+                                          ("r_meas", np.diag([1.0, np.inf, 1.0])),
+                                          ("n_p", 0)])
+def test_config_rejects_bad_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrackerConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # predict / update
 

@@ -237,7 +237,12 @@ def test_scenario_config_validation():
                                           ("n_actors", -3),
                                           ("max_mission_time", -1.0),
                                           ("dt_sim", 0.0),
-                                          ("ceiling", float("inf"))])
+                                          ("ceiling", float("inf")),
+                                          ("body_radius", -1.0),
+                                          ("drone_radius", 0.0),
+                                          ("speed_xy", float("nan")),
+                                          ("speed_z", -1.0),
+                                          ("abort_hold_time", 0.0)])
 def test_scenario_config_rejects_bad_value(field, value):
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**{field: value})
