@@ -192,9 +192,9 @@ def cmd_run(args) -> int:
 
 def cmd_batch(args) -> int:
     rc = build_run_config(args)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
     if args.runs < 1:
         raise ConfigError("--runs must be at least 1")
+    rc.out_dir.mkdir(parents=True, exist_ok=True)
     base = rc.scenario.seed
     logs = []
     for i in range(args.runs):

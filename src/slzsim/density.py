@@ -6,6 +6,12 @@ configurable false-positive and miss noise. Conversion to occupancy
 subtracts the minimum, thresholds, applies one 9x9 square dilation (equal
 to two 5x5) and inverts, so the final map has 255 = people-free and
 0 = occupied.
+
+Both steps run over whole arrays, never one blob or one pixel at a time,
+and stay exact: the render scatters all blob weights with ``np.add.at``,
+which adds in index order, so each pixel sums the same terms in the same
+order as adding the blobs one by one (see ``_blob_sum``), and
+the dilation is boolean, so any grouping of its shifts gives the same mask.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MalformedFile
 
@@ -24,6 +29,8 @@ logger = logging.getLogger(__name__)
 # Pixels equal to the map minimum within this tolerance count as background.
 MIN_EQUALITY_TOL = 1e-12
 GAUSSIAN_TRUNCATE_SIGMAS = 4.0
+# Blobs rendered per np.add.at call; bounds the templates held in memory.
+BLOBS_PER_CHUNK = 128
 
 
 @dataclass
@@ -54,7 +61,8 @@ class OccupancyGrid:
         self.values = np.asarray(self.values, dtype=np.uint8)
         if self.values.ndim != 2:
             raise ValueError("occupancy grid must be 2-D")
-        if not np.isin(self.values, (0, 255)).all():
+        v = self.values
+        if not ((v == 0) | (v == 255)).all():
             raise ValueError("occupancy values must be 0 or 255")
 
     @property
@@ -82,20 +90,64 @@ class OracleNoiseConfig:
             raise ValueError("fn_rate must be in [0, 1)")
 
 
-def _add_blob(values: np.ndarray, x: float, y: float, sigma: float) -> None:
-    h, w = values.shape
+def _blob_weights(x: np.ndarray, y: np.ndarray, sigma: float, k: int):
+    """Fixed k x k weight templates for the blobs at (x[i], y[i]).
+
+    Template i starts at pixel (floor(y - reach), floor(x - reach)) and
+    holds each pixel's Gaussian weight, computed elementwise with the
+    single-blob formula. Rows and columns outside the blob's truncation
+    box [floor(. - reach), ceil(. + reach)] get an infinite squared
+    offset, so their weight is exp(-inf) = 0.0 exactly. Returns the
+    top-left corners (rows, cols) and the (n, k, k) weights.
+    """
     reach = GAUSSIAN_TRUNCATE_SIGMAS * sigma
-    c0 = max(int(np.floor(x - reach)), 0)
-    c1 = min(int(np.ceil(x + reach)) + 1, w)
-    r0 = max(int(np.floor(y - reach)), 0)
-    r1 = min(int(np.ceil(y + reach)) + 1, h)
-    if c0 >= c1 or r0 >= r1:
-        return
-    # pixel (r, c) samples the Gaussian at its center (c + 0.5, r + 0.5)
-    cs = np.arange(c0, c1) + 0.5 - x
-    rs = np.arange(r0, r1) + 0.5 - y
-    g = np.exp(-(rs[:, None] ** 2 + cs[None, :] ** 2) / (2.0 * sigma * sigma))
-    values[r0:r1, c0:c1] += g / (2.0 * np.pi * sigma * sigma)
+    offsets = np.arange(k)
+
+    def squared_offsets(p):
+        first = np.floor(p - reach)
+        pix = first[:, None] + offsets   # exact small integers, as floats
+        # pixel (r, c) samples the Gaussian at its center (c + 0.5, r + 0.5)
+        sq = np.where(pix <= np.ceil(p + reach)[:, None],
+                      (pix + 0.5 - p[:, None]) ** 2, np.inf)
+        return first.astype(np.intp), sq
+
+    r0, rs2 = squared_offsets(y)
+    c0, cs2 = squared_offsets(x)
+    # -rs2 - cs2 equals -(rs2 + cs2) bit for bit: rounding is symmetric
+    g = -rs2[:, :, None] - cs2[:, None, :]
+    g /= 2.0 * sigma * sigma
+    np.exp(g, out=g)
+    g /= 2.0 * np.pi * sigma * sigma
+    return r0, c0, g
+
+
+def _blob_sum(x: np.ndarray, y: np.ndarray, sigma: float, width: int,
+              height: int) -> np.ndarray:
+    """Float64 (height, width) sum of the blobs at (x[i], y[i]), in order.
+
+    Blobs are rendered in chunks of ``BLOBS_PER_CHUNK``: each becomes a
+    k x k template (see ``_blob_weights``), scattered with ``np.add.at``
+    into an accumulator padded by k on every side, which is then cropped.
+    ``np.add.at`` adds in index order and the chunks run in blob order, so
+    every pixel adds its blobs' weights one at a time in blob order. A
+    template's zero weights add +0.0, which leaves a non-negative sum
+    unchanged, so the sum is bit-identical to adding the blobs one by one.
+    """
+    reach = GAUSSIAN_TRUNCATE_SIGMAS * sigma
+    # a blob whose truncation box misses the image adds nothing
+    touches = ((np.floor(x - reach) < width) & (np.ceil(x + reach) >= 0)
+               & (np.floor(y - reach) < height) & (np.ceil(y + reach) >= 0))
+    x, y = x[touches], y[touches]
+    k = 2 * math.ceil(reach) + 2       # >= the widest truncation box
+    padded_w = width + 2 * k
+    acc = np.zeros((height + 2 * k) * padded_w)
+    template = np.arange(k)[:, None] * padded_w + np.arange(k)
+    for s in range(0, len(x), BLOBS_PER_CHUNK):
+        r0, c0, g = _blob_weights(x[s:s + BLOBS_PER_CHUNK],
+                                  y[s:s + BLOBS_PER_CHUNK], sigma, k)
+        corner = (r0 + k) * padded_w + c0 + k
+        np.add.at(acc, (corner[:, None, None] + template).ravel(), g.ravel())
+    return acc.reshape(-1, padded_w)[k:k + height, k:k + width]
 
 
 def render_oracle_density(head_pixels, cfg: OracleNoiseConfig,
@@ -105,34 +157,50 @@ def render_oracle_density(head_pixels, cfg: OracleNoiseConfig,
     Each head is dropped independently with probability fn_rate; a
     Poisson(fp_rate) number of spurious blobs is added at uniform positions.
     Deterministic for a given (inputs, seed) pair.
+
+    Blob i adds exp(-(dr^2 + dc^2) / (2 sigma^2)) / (2 pi sigma^2) to each
+    pixel of its truncation box, 4 sigma around it, sampled at the pixel
+    center. All blobs are summed at once by ``_blob_sum``, heads first and
+    spurious blobs after, each pixel in the order of adding the blobs one
+    by one; the misses, the Poisson count and the spurious positions are
+    drawn in the order of one scalar draw each. The float64 sum is rounded
+    to float32 once, at the end.
     """
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
+    heads = np.asarray(head_pixels, dtype=float).reshape(-1, 2)
+    if not np.isfinite(heads).all():
+        raise ValueError("head pixel positions must be finite")
     rng = np.random.default_rng(cfg.seed)
-    values = np.zeros((height, width), dtype=np.float64)
-    for x, y in head_pixels:
-        if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
-            continue
-        _add_blob(values, float(x), float(y), cfg.sigma_px)
+    if cfg.fn_rate > 0:
+        heads = heads[~(rng.random(len(heads)) < cfg.fn_rate)]
     n_fp = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0 else 0
-    for _ in range(n_fp):
-        _add_blob(values, rng.uniform(0, width), rng.uniform(0, height),
-                  cfg.sigma_px)
+    if n_fp:
+        # x then y per blob, the order of two scalar draws
+        heads = np.concatenate(
+            [heads, rng.uniform(0.0, (width, height), size=(n_fp, 2))])
+    values = _blob_sum(heads[:, 0], heads[:, 1], cfg.sigma_px, width, height)
     return DensityMap(values.astype(np.float32))
 
 
 def occupancy_from_density(d: DensityMap) -> OccupancyGrid:
     """Binarize, dilate with a 9x9 square (two 5x5 dilations), then invert.
 
-    The square is applied as a separable pair of 1-D maximum filters;
-    pixels past the image border count as empty. Final semantics:
+    The square is applied separably: along each axis, three shift-and-OR
+    steps of 1, 2 and 1 pixels grow every person pixel by 4 each way.
+    Pixels past the image border count as empty. Final semantics:
     0 = occupied by people, 255 = free.
     """
-    person = ((d.values - d.values.min()) > MIN_EQUALITY_TOL).view(np.uint8)
+    person = (d.values - d.values.min()) > MIN_EQUALITY_TOL
     for axis in (0, 1):
-        person = ndimage.maximum_filter1d(person, 9, axis=axis,
-                                          mode="constant", cval=0)
-    return OccupancyGrid(np.where(person, 0, 255).astype(np.uint8))
+        for step in (1, 2, 1):
+            head = (slice(None),) * axis + (slice(step, None),)
+            tail = (slice(None),) * axis + (slice(None, -step),)
+            grown = person.copy()
+            grown[head] |= person[tail]
+            grown[tail] |= person[head]
+            person = grown
+    return OccupancyGrid((~person).view(np.uint8) * np.uint8(255))
 
 
 DMAP_MAGIC = b"DMAP"

@@ -126,7 +126,8 @@ class PlaneGrid:
             self.values = np.asarray(self.values, dtype=np.uint8)
             if self.values.shape != (self.rows, self.cols):
                 raise ValueError("values shape does not match rows/cols")
-            if not np.isin(self.values, (0, 255)).all():
+            v = self.values
+            if not ((v == 0) | (v == 255)).all():
                 raise ValueError("grid values must be 0 or 255")
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -208,25 +209,44 @@ def grid_footprint(cam: CameraModel, world_to_camera: RigidTransform,
 
 def sample_occupancy_to_plane(o, grid: PlaneGrid,
                               world_to_camera: RigidTransform,
-                              cam: CameraModel, plane: HeadPlane) -> PlaneGrid:
+                              cam: CameraModel, plane: HeadPlane,
+                              return_visible: bool = False):
     """Project every grid cell center into the image and copy the nearest
     occupancy pixel. Cells mapping behind the camera or outside the image
     are marked occupied (safety overestimate).
+
+    The cell centers are written into one (rows, cols, 3) array and
+    transformed by a single ``pw @ R.T + t`` over the same (n, 3) layout as
+    a stack of the centers, so every cell projects bit-identically. Each
+    visible cell becomes a flat pixel index and all cells are read with
+    one gather, the others from a 0 appended past the last pixel.
+
+    With ``return_visible`` the result is ``(grid, visible)``: the bool
+    (rows, cols) mask of the cells the camera sees, which are the cells an
+    all-free image would sample to 255.
     """
-    gx, gy = grid.cell_centers()
-    pw = np.stack([gx.ravel(), gy.ravel(),
-                   np.full(gx.size, plane.h_h)], axis=1)
-    p_cam = pw @ world_to_camera.rotation.T + world_to_camera.translation
-    lam = p_cam[:, 2]
+    xs = grid.origin_x + np.arange(grid.cols) * grid.cell_size
+    ys = grid.origin_y + np.arange(grid.rows) * grid.cell_size
+    pw = np.empty((grid.rows, grid.cols, 3))
+    pw[:, :, 0] = xs
+    pw[:, :, 1] = ys[:, None]
+    pw[:, :, 2] = plane.h_h
+    p_cam = pw.reshape(-1, 3) @ world_to_camera.rotation.T
+    # the translation is added column by column: the same sums as a
+    # broadcast "+ t", without numpy's slow length-3 inner loop
+    x, y, lam = (p_cam[:, i] + world_to_camera.translation[i]
+                 for i in range(3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = cam.fx * p_cam[:, 0] / lam + cam.cx
-        v = cam.fy * p_cam[:, 1] / lam + cam.cy
-    cols_idx = np.floor(u).astype(np.int64)
-    rows_idx = np.floor(v).astype(np.int64)
-    visible = ((lam > 0)
-               & (cols_idx >= 0) & (cols_idx < o.width)
-               & (rows_idx >= 0) & (rows_idx < o.height))
-    out = np.zeros(gx.size, dtype=np.uint8)
-    out[visible] = o.values[rows_idx[visible], cols_idx[visible]]
-    return PlaneGrid(grid.origin_x, grid.origin_y, grid.cell_size,
-                     grid.rows, grid.cols, out.reshape(grid.rows, grid.cols))
+        u = cam.fx * x / lam + cam.cx
+        v = cam.fy * y / lam + cam.cy
+        # floor(u) lies in [0, width) exactly when u does; NaN fails all
+        visible = ((lam > 0) & (u >= 0) & (u < o.width)
+                   & (v >= 0) & (v < o.height))
+        flat = np.where(visible, np.floor(v) * o.width + np.floor(u),
+                        o.values.size).astype(np.intp)
+    pixels = np.append(o.values.ravel(), np.uint8(0))
+    out = PlaneGrid(grid.origin_x, grid.origin_y, grid.cell_size, grid.rows,
+                    grid.cols, pixels[flat].reshape(grid.rows, grid.cols))
+    if return_visible:
+        return out, visible.reshape(grid.rows, grid.cols)
+    return out

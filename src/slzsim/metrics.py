@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import world
-# occupancy_from_density, render_oracle_density and grid_footprint are
-# called only by world.perceive; they stay imported here because the
-# benchmark's tracer (perfbench/tracing.py) wraps them in this namespace too.
-from .density import (OccupancyGrid, OracleNoiseConfig, occupancy_from_density,
+# occupancy_from_density, render_oracle_density, grid_footprint and
+# sample_occupancy_to_plane are called only by world.perceive; they stay
+# imported here because the benchmark's tracer (perfbench/tracing.py) wraps
+# them in this namespace too.
+from .density import (OracleNoiseConfig, occupancy_from_density,
                       render_oracle_density)
 from .errors import EmptyGroundTruth
-from .geometry import (CameraModel, HeadPlane, PlaneGrid, RigidTransform,
-                       apply_geofence, grid_footprint,
-                       sample_occupancy_to_plane)
+from .geometry import (CameraModel, HeadPlane, PlaneGrid, apply_geofence,
+                       grid_footprint, sample_occupancy_to_plane)
 from .slz import SlzConfig, extract_slz
 from .tracking import TrackManager, TrackerConfig, circle_iou
 
@@ -88,22 +88,22 @@ class TargetMetrics:
     best_iou: float | None = None
 
 
-def evaluate_target(target, heads, grid: PlaneGrid, w2c: RigidTransform,
-                    cam: CameraModel, plane: HeadPlane, r0: float,
-                    roi_side: float | None = None) -> TargetMetrics:
+def evaluate_target(target, heads, grid: PlaneGrid, visible: np.ndarray,
+                    r0: float, roi_side: float | None = None) -> TargetMetrics:
     """Score the target track against the true heads (n, 2).
 
     Ground truth is extracted from the heads over the cells of ``grid``
-    (only its geometry is used) that the camera sees, geofenced to the ROI
-    when ``roi_side`` is given.
+    (only its geometry is used) that the camera sees, the bool mask
+    ``visible`` that ``world.perceive`` returns, geofenced to the ROI when
+    ``roi_side`` is given.
     """
     if target is None:
         return TargetMetrics()
     circle = [float(target.mean[0]), float(target.mean[1]),
               max(float(target.mean[2]), 1e-6)]
     warning, danger = risk_counts(circle, heads)
-    all_free = OccupancyGrid(np.full((cam.height, cam.width), 255, np.uint8))
-    view = sample_occupancy_to_plane(all_free, grid, w2c, cam, plane)
+    view = PlaneGrid(grid.origin_x, grid.origin_y, grid.cell_size, grid.rows,
+                     grid.cols, np.where(visible, 255, 0).astype(np.uint8))
     if roi_side is not None:
         apply_geofence(view, roi_side)
     gt = ground_truth_slz(heads, view,
@@ -212,12 +212,11 @@ def replay_annotations(frames, poses, cam: CameraModel, plane: HeadPlane,
             raise KeyError(f"no camera pose for frame {frame_id}")
         w2c = poses[frame_id]
         heads = np.asarray(heads, dtype=float).reshape(-1, 2)
-        grid, proposals, exec_time = world.perceive(
+        grid, visible, proposals, exec_time = world.perceive(
             heads, w2c, frame_id, manager, cam, plane, noise_cfg, slz_cfg,
             cell_size, margin)
         target = world.select_target(manager.tracks, criterion)
-        scored = evaluate_target(target, heads, grid, w2c, cam, plane,
-                                 slz_cfg.r0)
+        scored = evaluate_target(target, heads, grid, visible, slz_cfg.r0)
         rows.append(ReplayFrame(frame_id=frame_id, n_heads=len(heads),
                                 n_proposals=len(proposals),
                                 exec_time=exec_time, **vars(scored)))

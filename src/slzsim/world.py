@@ -18,10 +18,10 @@ import numpy as np
 from . import metrics as metrics_mod
 from .density import (DensityMap, OracleNoiseConfig, occupancy_from_density,
                       render_oracle_density)
-from .errors import BehindCamera, PlacementFailure
+from .errors import PlacementFailure
 from .geometry import (CameraModel, HeadPlane, PlaneGrid, RigidTransform,
                        apply_geofence, compose, grid_footprint,
-                       project_plane_point, sample_occupancy_to_plane)
+                       sample_occupancy_to_plane)
 from .slz import SlzConfig, extract_slz
 from .tracking import TrackManager, TrackerConfig
 
@@ -191,40 +191,51 @@ def observe(heads, w2c: RigidTransform, cam: CameraModel, plane: HeadPlane,
             noise: OracleNoiseConfig) -> DensityMap:
     """Render the oracle density map of world head positions (n, 2) seen
     through world-to-camera ``w2c``. Heads behind the camera or whose blob
-    cannot touch the image are skipped."""
+    cannot touch the image are skipped.
+
+    All heads are projected at once. The stacked product
+    ``p[:, None, :] @ R.T`` takes one vector-matrix product per head, the
+    operation ``project_plane_point`` does, so every pixel is bit-identical
+    to projecting the heads one by one; a plain ``P @ R.T`` goes through a
+    matrix-matrix kernel whose rounding differs.
+    """
+    heads = np.asarray(heads, dtype=float).reshape(-1, 2)
+    p = np.column_stack([heads, np.full(len(heads), plane.h_h)])
+    p_cam = np.matmul(p[:, None, :], w2c.rotation.T)[:, 0] + w2c.translation
+    p_cam = p_cam[p_cam[:, 2] > 0]
+    lam = p_cam[:, 2]
+    u = cam.fx * p_cam[:, 0] / lam + cam.cx
+    v = cam.fy * p_cam[:, 1] / lam + cam.cy
     reach = 4.0 * noise.sigma_px
-    pixels = []
-    for hx, hy in heads:
-        try:
-            u, v, _ = project_plane_point((hx, hy, plane.h_h), w2c, cam)
-        except BehindCamera:
-            continue
-        if -reach <= u <= cam.width + reach and -reach <= v <= cam.height + reach:
-            pixels.append((u, v))
-    return render_oracle_density(pixels, noise, cam.width, cam.height)
+    keep = ((-reach <= u) & (u <= cam.width + reach)
+            & (-reach <= v) & (v <= cam.height + reach))
+    return render_oracle_density(np.column_stack([u[keep], v[keep]]), noise,
+                                 cam.width, cam.height)
 
 
 def perceive(heads, w2c: RigidTransform, frame: int, manager: TrackManager,
              cam: CameraModel, plane: HeadPlane, noise: OracleNoiseConfig,
              slz_cfg: SlzConfig, cell_size: float, margin: float,
-             roi_side: float | None = None) -> tuple[PlaneGrid, list, float]:
+             roi_side: float | None = None
+             ) -> tuple[PlaneGrid, np.ndarray, list, float]:
     """One frame of the perception pipeline, shared by missions and replay:
     oracle density -> occupancy -> head-plane grid -> SLZ extraction ->
     tracker step. The oracle noise is reseeded per frame; with
     ``roi_side`` the grid is geofenced to the ROI before extraction.
-    Returns the head-plane grid, the proposals and the host seconds taken.
+    Returns the head-plane grid, the mask of its cells the camera sees
+    (before the geofence), the proposals and the host seconds taken.
     """
     t0 = time.perf_counter()
     frame_noise = replace(noise, seed=noise.seed * 1_000_003 + frame)
     occ = occupancy_from_density(observe(heads, w2c, cam, plane, frame_noise))
-    grid = sample_occupancy_to_plane(
+    grid, visible = sample_occupancy_to_plane(
         occ, grid_footprint(cam, w2c, plane, cell_size, margin), w2c, cam,
-        plane)
+        plane, return_visible=True)
     if roi_side is not None:
         apply_geofence(grid, roi_side)
     proposals = extract_slz(grid, slz_cfg, frame)
     manager.step(proposals)
-    return grid, proposals, time.perf_counter() - t0
+    return grid, visible, proposals, time.perf_counter() - t0
 
 
 def select_target(tracks, criterion: str):
@@ -386,14 +397,13 @@ def simulate_mission(cfg: ScenarioConfig,
         if policy == "slz" and not landing:
             heads = world.actor_positions()
             w2c = world.drone.world_to_camera()
-            grid, proposals, exec_time = perceive(
+            grid, visible, proposals, exec_time = perceive(
                 heads, w2c, k, manager, cam, plane, noise_cfg, slz_cfg,
                 cell_size, margin, cfg.roi_side)
             target, incumbent_id = _select_with_hysteresis(
                 manager.tracks, cfg.criterion, incumbent_id)
             scored = metrics_mod.evaluate_target(
-                target, heads, grid, w2c, cam, plane, slz_cfg.r0,
-                cfg.roi_side)
+                target, heads, grid, visible, slz_cfg.r0, cfg.roi_side)
 
         if landing:
             cmd = Land()

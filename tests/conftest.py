@@ -11,6 +11,16 @@ def cam400():
                        width=800, height=800)
 
 
+def random_rotation(rng) -> np.ndarray:
+    """Uniform random proper rotation: QR of a Gaussian matrix, signs fixed
+    so that det = +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 def nadir_w2c(x: float, y: float, z: float) -> RigidTransform:
     """World-to-camera transform of a straight-down camera at (x, y, z)."""
     return DroneState(np.array([x, y, z])).world_to_camera()

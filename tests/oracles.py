@@ -1,11 +1,13 @@
 """Independent brute-force oracles shared by the test suite.
 
 These deliberately avoid the library's own code paths: distances by
-all-pairs minimum, dilation by explicit shifting, assignment by permutation
-enumeration, areas by Monte Carlo.
+all-pairs minimum, dilation by explicit shifting, density maps by adding
+one blob at a time, assignment by permutation enumeration, areas by Monte
+Carlo.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -65,6 +67,47 @@ def dilate_5x5_oracle(mask: np.ndarray, iterations: int = 2) -> np.ndarray:
                 acc |= _shift(out, di, dj)
         out = acc
     return out
+
+
+def _add_blob(values: np.ndarray, x: float, y: float, sigma: float) -> None:
+    h, w = values.shape
+    reach = 4.0 * sigma
+    c0 = max(int(np.floor(x - reach)), 0)
+    c1 = min(int(np.ceil(x + reach)) + 1, w)
+    r0 = max(int(np.floor(y - reach)), 0)
+    r1 = min(int(np.ceil(y + reach)) + 1, h)
+    if c0 >= c1 or r0 >= r1:
+        return
+    # pixel (r, c) samples the Gaussian at its center (c + 0.5, r + 0.5)
+    cs = np.arange(c0, c1) + 0.5 - x
+    rs = np.arange(r0, r1) + 0.5 - y
+    g = np.exp(-(rs[:, None] ** 2 + cs[None, :] ** 2) / (2.0 * sigma * sigma))
+    values[r0:r1, c0:c1] += g / (2.0 * math.pi * sigma * sigma)
+
+
+def blob_sum_oracle(points, sigma: float, width: int,
+                    height: int) -> np.ndarray:
+    """Float64 sum of Gaussian blobs at pixel positions, one blob at a
+    time, in the given order."""
+    values = np.zeros((height, width), dtype=np.float64)
+    for x, y in points:
+        _add_blob(values, float(x), float(y), sigma)
+    return values
+
+
+def render_density_oracle(head_pixels, cfg, width: int,
+                          height: int) -> np.ndarray:
+    """Float32 density map of ``render_oracle_density``, built one blob and
+    one random draw at a time: a miss draw per head, then the Poisson
+    count, then an (x, y) pair per spurious blob."""
+    rng = np.random.default_rng(cfg.seed)
+    points = [(x, y) for x, y in head_pixels
+              if not (cfg.fn_rate > 0 and rng.random() < cfg.fn_rate)]
+    n_fp = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0 else 0
+    for _ in range(n_fp):
+        points.append((rng.uniform(0, width), rng.uniform(0, height)))
+    return blob_sum_oracle(points, cfg.sigma_px, width,
+                           height).astype(np.float32)
 
 
 def min_assignment_cost(cost: np.ndarray) -> float:

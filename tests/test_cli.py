@@ -243,6 +243,13 @@ def test_batch_rejects_bad_runs(tmp_path):
                  "--out", str(tmp_path / "o")]) == 64
 
 
+def test_batch_bad_runs_leaves_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["batch", *FAST, "--runs", "0", "--out", str(out)]) == 64
+    assert "--runs" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the output directory is made
+
+
 # ---------------------------------------------------------------------------
 # replay
 

@@ -8,8 +8,9 @@ import pytest
 from slzsim import (DensityMap, MalformedFile, OracleNoiseConfig,
                     load_density, occupancy_from_density,
                     render_oracle_density, save_density)
+from slzsim.density import BLOBS_PER_CHUNK, _blob_sum
 
-from oracles import dilate_5x5_oracle
+from oracles import blob_sum_oracle, dilate_5x5_oracle, render_density_oracle
 
 
 def test_zero_heads_zero_map():
@@ -30,6 +31,61 @@ def test_render_deterministic():
     a = render_oracle_density(heads, cfg, 128, 96)
     b = render_oracle_density(heads, cfg, 128, 96)
     assert np.array_equal(a.values, b.values)
+
+
+def _render_cases():
+    """Heads on and off the image, at integer and fractional positions,
+    with non-default sigma, miss and spurious-blob noise, tiny images, and
+    more blobs than one chunk."""
+    rng = np.random.default_rng(26)
+    for case in range(60):
+        width, height = (int(v) for v in rng.integers(1, 81, size=2))
+        n = int(rng.integers(0, 3 * BLOBS_PER_CHUNK)) if case % 4 else \
+            int(rng.integers(0, 8))
+        sigma = float(rng.choice([1.3, 2.5, 3.0, 0.4, 6.0]))
+        reach = 4 * sigma + 3
+        heads = rng.uniform((-reach, -reach), (width + reach, height + reach),
+                            size=(n, 2))
+        if case % 3 == 0:
+            heads = np.round(heads)
+        cfg = OracleNoiseConfig(sigma_px=sigma,
+                                fp_rate=float(rng.choice([0.0, 2.0, 50.0])),
+                                fn_rate=float(rng.choice([0.0, 0.3])),
+                                seed=case)
+        yield heads, cfg, width, height
+    # far off the image, and exactly on its corners
+    yield [(-1e6, 5.0), (5.0, 1e6), (0.0, 0.0), (64.0, 48.0)], \
+        OracleNoiseConfig(), 64, 48
+
+
+def test_render_matches_per_blob_oracle():
+    for heads, cfg, width, height in _render_cases():
+        d = render_oracle_density(heads, cfg, width, height)
+        expected = render_density_oracle(heads, cfg, width, height)
+        assert d.values.dtype == np.float32
+        assert d.values.tobytes() == expected.tobytes()
+
+
+def test_blob_sum_adds_in_blob_order():
+    # the float32 map rarely shows a reordered float64 sum, so the sum is
+    # compared before rounding, on crowds that overlap across chunks
+    rng = np.random.default_rng(27)
+    for case in range(20):
+        width, height = (int(v) for v in rng.integers(1, 41, size=2))
+        n = int(rng.integers(1, 3 * BLOBS_PER_CHUNK))
+        points = rng.uniform(-15, 55, size=(n, 2))
+        if case % 2:
+            points = np.round(points)
+        sigma = float(rng.choice([1.3, 3.0]))
+        got = _blob_sum(points[:, 0], points[:, 1], sigma, width, height)
+        expected = blob_sum_oracle(points, sigma, width, height)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("head", [(float("nan"), 1.0), (1.0, float("inf"))])
+def test_render_rejects_non_finite_head(head):
+    with pytest.raises(ValueError, match="finite"):
+        render_oracle_density([head], OracleNoiseConfig(), 16, 16)
 
 
 def test_noise_config_validation():

@@ -8,7 +8,7 @@ from slzsim import (BehindCamera, CameraModel, DegenerateView, HeadPlane,
                     back_project_pixel, compose, grid_footprint,
                     project_plane_point, sample_occupancy_to_plane)
 
-from conftest import nadir_w2c
+from conftest import nadir_w2c, random_rotation
 
 
 def _rot_z(angle):
@@ -17,12 +17,7 @@ def _rot_z(angle):
 
 
 def _random_transform(rng):
-    # random rotation via QR of a Gaussian matrix, sign-fixed to det +1
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return RigidTransform(q, rng.normal(size=3))
+    return RigidTransform(random_rotation(rng), rng.normal(size=3))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +205,39 @@ def test_sample_left_half_per_cell_oracle(cam400):
             else:
                 expected = 0
             assert out.values[i, j] == expected, (i, j)
+
+
+def test_sample_matches_per_cell_projection():
+    # small tilted and yawed cameras over a wide grid: cells behind the
+    # camera, outside the image and on every image edge
+    rng = np.random.default_rng(15)
+    plane = HeadPlane()
+    for case in range(12):
+        cam = CameraModel(fx=30.0, fy=25.0, cx=20.0, cy=15.0, width=40,
+                          height=30)
+        w2c = _random_transform(rng) if case % 2 else compose(
+            RigidTransform(_rot_z(rng.uniform(-np.pi, np.pi)), np.zeros(3)),
+            nadir_w2c(*rng.uniform(-2, 2, 2), rng.uniform(3, 9)))
+        occ = OccupancyGrid(np.where(rng.random((30, 40)) < 0.5, 0, 255)
+                            .astype(np.uint8))
+        grid = PlaneGrid(*rng.uniform(-12, -8, 2), 0.7, 31, 29)
+        out, visible = sample_occupancy_to_plane(occ, grid, w2c, cam, plane,
+                                                 return_visible=True)
+        for i in range(grid.rows):
+            for j in range(grid.cols):
+                x = grid.origin_x + j * grid.cell_size
+                y = grid.origin_y + i * grid.cell_size
+                try:
+                    u, v, _ = project_plane_point((x, y, plane.h_h), w2c, cam)
+                    col, row = int(np.floor(u)), int(np.floor(v))
+                    seen = 0 <= col < 40 and 0 <= row < 30
+                except BehindCamera:
+                    seen = False
+                assert visible[i, j] == seen, (case, i, j)
+                assert out.values[i, j] == (occ.values[row, col] if seen
+                                            else 0), (case, i, j)
+        assert np.array_equal(out.values, sample_occupancy_to_plane(
+            occ, grid, w2c, cam, plane).values)
 
 
 def test_sample_out_of_view_cells_occupied(cam400):

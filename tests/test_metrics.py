@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from slzsim import (DroneState, EmptyGroundTruth, HeadPlane, MissionLog,
-                    OracleNoiseConfig, PlaneGrid, ScenarioConfig, SlzConfig,
-                    aggregate, best_iou, ground_truth_slz, replay_annotations,
-                    risk_counts, simulate_mission)
-from slzsim.world import FrameRecord, default_camera
+                    OccupancyGrid, OracleNoiseConfig, PlaneGrid,
+                    ScenarioConfig, SlzConfig, TrackManager, TrackState,
+                    TrackerConfig, aggregate, best_iou, ground_truth_slz,
+                    replay_annotations, risk_counts,
+                    sample_occupancy_to_plane, simulate_mission)
+from slzsim.geometry import apply_geofence
+from slzsim.metrics import TargetMetrics, evaluate_target
+from slzsim.world import FrameRecord, default_camera, perceive
 
 from oracles import largest_empty_circle_cells
 
@@ -234,3 +238,47 @@ def test_replay_matches_simulated_mission_proposals():
     by_index = {f.index: f for f in inside}
     for r in rows:
         assert r.n_proposals == len(by_index[r.frame_id].proposals)
+
+
+def _evaluate_by_reprojection(target, heads, grid, w2c, cam, plane, r0,
+                              roi_side):
+    """Target metrics with the view rebuilt by sampling an all-free image
+    onto the grid, as a second projection of the grid cells."""
+    circle = [float(target.mean[0]), float(target.mean[1]),
+              max(float(target.mean[2]), 1e-6)]
+    warning, danger = risk_counts(circle, heads)
+    all_free = OccupancyGrid(np.full((cam.height, cam.width), 255, np.uint8))
+    view = sample_occupancy_to_plane(all_free, grid, w2c, cam, plane)
+    if roi_side is not None:
+        apply_geofence(view, roi_side)
+    gt = ground_truth_slz(heads, view, SlzConfig(n_p=10, r0=r0))
+    return TargetMetrics(circle, warning, danger,
+                         float(np.pi * circle[2] ** 2),
+                         best_iou(circle, gt) if gt else None)
+
+
+def test_evaluate_target_shared_mask_matches_reprojection():
+    cam, plane, slz_cfg = default_camera(), HeadPlane(), SlzConfig()
+    rng = np.random.default_rng(61)
+    scored = 0
+    for case in range(12):
+        heads = rng.uniform(0, 30, size=(int(rng.integers(0, 60)), 2))
+        drone = DroneState(np.array([*rng.uniform(3, 27, 2),
+                                     rng.uniform(4, 12)]),
+                           yaw=float(rng.uniform(-np.pi, np.pi)))
+        w2c = drone.world_to_camera()
+        roi_side = 30.0 if case % 2 else None
+        grid, visible, proposals, _ = perceive(
+            heads, w2c, case, TrackManager(TrackerConfig()), cam, plane,
+            OracleNoiseConfig(seed=case), slz_cfg, 0.1, 1.0, roi_side)
+        assert visible.shape == grid.values.shape
+        circles = [(p.cx, p.cy, p.radius) for p in proposals]
+        circles.append((*rng.uniform(5, 25, 2), 0.0))  # radius floored
+        for i, (cx, cy, r) in enumerate(circles):
+            t = TrackState(i, np.array([cx, cy, r, 0.0, 0.0, 0.0]), np.eye(6))
+            got = evaluate_target(t, heads, grid, visible, slz_cfg.r0,
+                                  roi_side)
+            assert got == _evaluate_by_reprojection(
+                t, heads, grid, w2c, cam, plane, slz_cfg.r0, roi_side)
+            scored += 1
+    assert scored >= 30

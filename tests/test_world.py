@@ -5,13 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slzsim import (Actor, DroneState, PlacementFailure, ScenarioConfig,
-                    TrackState, landing_policy_step, random_walk_step,
-                    select_target, simulate_mission, spawn_scenario)
-from slzsim.density import OracleNoiseConfig
+from slzsim import (Actor, BehindCamera, DroneState, PlacementFailure,
+                    ScenarioConfig, TrackState, landing_policy_step,
+                    random_walk_step, select_target, simulate_mission,
+                    spawn_scenario)
+from slzsim import world as world_mod
+from slzsim.density import OracleNoiseConfig, render_oracle_density
 from slzsim.world import (Ascend, GotoWaypoint, Hold, Land, default_camera,
                           observe)
-from slzsim.geometry import back_project_pixel, HeadPlane
+from slzsim.geometry import (back_project_pixel, HeadPlane, RigidTransform,
+                             project_plane_point)
+
+from conftest import random_rotation
 
 
 def _strip_exec_times(log):
@@ -119,6 +124,58 @@ def test_observe_footprint_edge_actor_blobs_at_border():
     r, c = np.unravel_index(np.argmax(d.values), d.values.shape)
     assert abs(c + 0.5 - 2.0) <= 1.0
     assert abs(r + 0.5 - cam.cy) <= 1.0
+
+
+def _project_one_by_one(heads, w2c, cam, plane, noise):
+    """Pixels of heads projected one at a time with project_plane_point,
+    skipping heads behind the camera and applying the cull per head."""
+    reach = 4.0 * noise.sigma_px
+    pixels = []
+    for hx, hy in heads:
+        try:
+            u, v, _ = project_plane_point((hx, hy, plane.h_h), w2c, cam)
+        except BehindCamera:
+            continue
+        if -reach <= u <= cam.width + reach and -reach <= v <= cam.height + reach:
+            pixels.append((u, v))
+    return np.array(pixels, dtype=float).reshape(-1, 2)
+
+
+def test_observe_matches_per_head_projection(monkeypatch):
+    # the float32 map hides last-bit pixel differences, so the pixels that
+    # observe hands to the renderer are compared too
+    rendered = []
+
+    def record(pixels, *args):
+        rendered.append(np.asarray(pixels, dtype=float).reshape(-1, 2))
+        return render_oracle_density(pixels, *args)
+
+    monkeypatch.setattr(world_mod, "render_oracle_density", record)
+    rng = np.random.default_rng(53)
+    cam, plane = default_camera(), HeadPlane()
+    behind = 0
+    for case in range(40):
+        if case % 2:  # a camera at 2-12 m looking from a random direction
+            rot = random_rotation(rng)
+            center = np.array([*rng.uniform(0, 30, 2), rng.uniform(2, 12)])
+            w2c = RigidTransform(rot, -rot @ center)
+        else:  # a yawed nadir drone
+            w2c = DroneState(np.array([*rng.uniform(0, 30, 2),
+                                       rng.uniform(3, 12)]),
+                             yaw=float(rng.uniform(-np.pi, np.pi))
+                             ).world_to_camera()
+        heads = rng.uniform(-10, 40, size=(int(rng.integers(0, 400)), 2))
+        noise = OracleNoiseConfig(sigma_px=float(rng.choice([1.3, 3.0])),
+                                  fn_rate=0.2 * (case % 3 == 0), seed=case)
+        behind += int((heads @ w2c.rotation[2, :2]
+                       + plane.h_h * w2c.rotation[2, 2]
+                       + w2c.translation[2] <= 0).sum())
+        got = observe(heads, w2c, cam, plane, noise)
+        pixels = _project_one_by_one(heads, w2c, cam, plane, noise)
+        assert rendered.pop().tobytes() == pixels.tobytes()
+        expected = render_oracle_density(pixels, noise, cam.width, cam.height)
+        assert got.values.tobytes() == expected.values.tobytes()
+    assert behind > 0  # the cases did put heads behind the camera
 
 
 # ---------------------------------------------------------------------------
