@@ -130,12 +130,6 @@ class PlaneGrid:
             if not ((v == 0) | (v == 255)).all():
                 raise ValueError("grid values must be 0 or 255")
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """World x and y coordinate arrays of shape (rows, cols)."""
-        xs = self.origin_x + np.arange(self.cols) * self.cell_size
-        ys = self.origin_y + np.arange(self.rows) * self.cell_size
-        return np.meshgrid(xs, ys)
-
     def copy(self) -> "PlaneGrid":
         return PlaneGrid(self.origin_x, self.origin_y, self.cell_size,
                          self.rows, self.cols, self.values.copy())
@@ -144,10 +138,12 @@ class PlaneGrid:
 def apply_geofence(grid: PlaneGrid, roi_side: float) -> None:
     """Mark cells outside the square ROI [0, roi_side]^2 as occupied; the
     world outside the ROI is unobserved and must not attract landing
-    proposals."""
-    gx, gy = grid.cell_centers()
-    outside = (gx < 0) | (gx > roi_side) | (gy < 0) | (gy > roi_side)
-    grid.values[outside] = 0
+    proposals. A cell is outside when its column's x or its row's y is, so
+    the test runs over the 1-D coordinates of the columns and rows."""
+    xs = grid.origin_x + np.arange(grid.cols) * grid.cell_size
+    ys = grid.origin_y + np.arange(grid.rows) * grid.cell_size
+    grid.values[(ys < 0) | (ys > roi_side)] = 0
+    grid.values[:, (xs < 0) | (xs > roi_side)] = 0
 
 
 def project_plane_point(p_world, world_to_camera: RigidTransform,
@@ -173,7 +169,11 @@ def back_project_pixel(u: float, v: float, world_to_camera: RigidTransform,
     Raises DegenerateView when the ray is parallel to the plane or the
     intersection lies behind the camera.
     """
-    cam_to_world = world_to_camera.inverse()
+    return _back_project(u, v, world_to_camera.inverse(), cam, plane)
+
+
+def _back_project(u: float, v: float, cam_to_world: RigidTransform,
+                  cam: CameraModel, plane: HeadPlane) -> np.ndarray:
     center = cam_to_world.translation
     d_cam = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
     d_world = cam_to_world.rotation @ d_cam
@@ -192,12 +192,12 @@ def grid_footprint(cam: CameraModel, world_to_camera: RigidTransform,
 
     All cells start free. The camera center must be strictly above the plane.
     """
-    center = world_to_camera.inverse().translation
-    if center[2] <= plane.h_h:
+    cam_to_world = world_to_camera.inverse()
+    if cam_to_world.translation[2] <= plane.h_h:
         raise DegenerateView("camera center must be above the head plane")
     corners = [(0.0, 0.0), (cam.width, 0.0), (0.0, cam.height),
                (cam.width, cam.height)]
-    pts = np.array([back_project_pixel(u, v, world_to_camera, cam, plane)
+    pts = np.array([_back_project(u, v, cam_to_world, cam, plane)
                     for u, v in corners])
     x_min, y_min = pts[:, 0].min() - margin, pts[:, 1].min() - margin
     x_max, y_max = pts[:, 0].max() + margin, pts[:, 1].max() + margin

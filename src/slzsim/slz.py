@@ -13,11 +13,27 @@ change; there the map is lowered to the distance to the new disk. Every
 distance is the square root of an exact integer, and the minimum commutes
 with sqrt and scaling, so the result is bit-identical to a full transform
 of the whole grid after every disk.
+
+The distance to a disk is read from one quadrant of its squared distance
+field (see ``_disk_quadrant``), which is kept in a small LRU cache keyed
+by the disk's squared radius in cells. The cache is exact for two
+reasons. First, every distance is sqrt(integer) * cell: the radius R is
+a distance from the transform, sqrt(k) * cell for an integer k, so
+(R / cell)^2 lies within about 1e-12 of k, and the rim test
+a^2 + b^2 > (R / cell)^2 + 1e-9 picks the same cells as
+a^2 + b^2 > k + 1e-9, both thresholds lying strictly between the
+integers k and k + 1. Second, the quadrant holds the integer squares
+exactly, and sqrt of them rounds as the transform's own sqrt does. Only a
+squared radius within 1e-10 of an integer uses the cache; any other one,
+such as the half-integer radius of a fully free grid's first disk (the
+boundary case), takes the direct transform. The cache holds at most
+``DISK_CACHE_BYTES`` and starts empty.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +99,89 @@ def euclidean_distance_transform(grid) -> DistanceMap:
                        grid.cell_size)
 
 
-def _disk_distance_cells(rc2: float, half: int) -> np.ndarray:
-    """Distance (cell units) from offset (a, b), 0 <= a, b <= half, to the
-    nearest cell of the disk a^2 + b^2 <= rc2 centred at (0, 0); the
+def _disk_quadrant(rc2: float, half: int) -> np.ndarray:
+    """Squared distance (cell units) from offset (a, b), 0 <= a, b <= half,
+    to the nearest cell of the disk a^2 + b^2 <= rc2 centred at (0, 0); the
     comparison runs in squared cell units to dodge float rounding at the
-    rim.
+    rim. Each distance joins two cell centres, so its square is an integer,
+    and the square root of the result gives the transform's distances back
+    bit for bit.
 
     One quadrant suffices: clamping a disk cell's offsets to >= 0 keeps it
     in the disk and brings it no farther from a point of this quadrant.
     """
     a = np.arange(half + 1)
-    return ndimage.distance_transform_edt(
+    d = ndimage.distance_transform_edt(
         a[:, None] ** 2 + a[None, :] ** 2 > rc2 + 1e-9)
+    return np.rint(d * d)
+
+
+DISK_CACHE_BYTES = 512 << 10
+
+
+class _DiskCache:
+    """Disk quadrants keyed by the integer squared radius k in cells, least
+    recently used first out, holding at most ``max_bytes``. A quadrant is
+    kept in the smallest unsigned integer type that holds it, mostly 2
+    bytes a cell.
+
+    Each quadrant spans offsets up to isqrt(4k) + 2, the largest half-width
+    extraction asks for: ceil(2 sqrt(k)) + 1, plus one when a perfect
+    square's radius rounds up. Every disk cell lies within sqrt(k) of the
+    centre, inside any smaller quadrant too, so a slice of a larger
+    quadrant equals the transform of the smaller one.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._quadrants: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    @staticmethod
+    def span(k: int) -> int:
+        return math.isqrt(4 * k) + 2
+
+    def get(self, k: int) -> np.ndarray:
+        q = self._quadrants.get(k)
+        if q is not None:
+            self._quadrants.move_to_end(k)
+            return q
+        q = _disk_quadrant(k, self.span(k))
+        q = q.astype(np.min_scalar_type(int(q.max())))
+        q.flags.writeable = False
+        if q.nbytes <= self.max_bytes:  # a larger one would flush the rest
+            self._quadrants[k] = q
+            self.nbytes += q.nbytes
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self._quadrants.popitem(last=False)[1].nbytes
+        return q
+
+
+# one cache per process: an entry depends on k alone, so sharing it changes
+# no result, only which transforms are taken again
+_DISK_CACHE = _DiskCache(DISK_CACHE_BYTES)
+
+
+def _disk_sqdist_cells(rc2: float, half: int) -> np.ndarray:
+    """``_disk_quadrant(rc2, half)``, read from the cache when ``rc2`` is an
+    integer up to rounding; a cached result is a read-only view."""
+    k = round(rc2)
+    if abs(rc2 - k) < 1e-10 and half <= _DiskCache.span(k):
+        return _DISK_CACHE.get(k)[:half + 1, :half + 1]
+    return _disk_quadrant(rc2, half)
+
+
+def _mirrored_blocks(quadrant: np.ndarray, di: int, dj: int, shape):
+    """Split a window of ``shape`` whose cell (di, dj) is a disk's centre
+    into up to four blocks, one per quadrant around the centre. Yields the
+    window slices of each block with the matching view of ``quadrant``,
+    mirrored so that it is indexed by |offset|."""
+    rows, cols = shape
+    for wr, qr in ((slice(0, di), slice(di, 0, -1)),
+                   (slice(di, rows), slice(0, rows - di))):
+        for wc, qc in ((slice(0, dj), slice(dj, 0, -1)),
+                       (slice(dj, cols), slice(0, cols - dj))):
+            yield (wr, wc), quadrant[qr, qc]
 
 
 def extract_slz(grid, cfg: SlzConfig, frame_index: int = 0) -> list[SlzProposal]:
@@ -140,15 +227,19 @@ def extract_slz(grid, cfg: SlzConfig, frame_index: int = 0) -> list[SlzProposal]
         half = math.ceil(2 * radius / cell) + 1
         i0, i1 = max(i - half, 0), min(i + half + 1, rows)
         j0, j1 = max(j - half, 0), min(j + half + 1, cols)
-        disk = _disk_distance_cells((radius / cell) ** 2, half)
-        disk = disk[np.ix_(np.abs(np.arange(i0 - i, i1 - i)),
-                           np.abs(np.arange(j0 - j, j1 - j)))]
+        disk = _disk_sqdist_cells((radius / cell) ** 2, half)
+        blocks = _mirrored_blocks(disk, i - i0, j - j0, (i1 - i0, j1 - j0))
         if fully_free:
             work = np.ones((rows, cols), dtype=bool)
-            work[i0:i1, j0:j1] = disk > 0
+            box = work[i0:i1, j0:j1]
+            for at, block in blocks:
+                box[at] = block > 0
             dist = ndimage.distance_transform_edt(work) * cell
             fully_free = False
         else:
             box = dist[i0:i1, j0:j1]
-            np.minimum(box, disk * cell, out=box)
+            for at, block in blocks:
+                d = np.sqrt(block, dtype=float)  # the transform's own sqrt
+                d *= cell
+                np.minimum(box[at], d, out=box[at])
     return proposals

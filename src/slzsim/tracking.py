@@ -47,20 +47,28 @@ class TrackerConfig:
             raise ValueError("iou_gate must be in (0, 1)")
         if self.mu1 < 1 or self.mu2 < 1:
             raise ValueError("mu1 and mu2 must be positive")
-
-    def transition(self) -> np.ndarray:
-        f = np.eye(6)
-        f[:3, 3:] = self.dt * np.eye(3)
-        return f
-
-    def process_noise(self) -> np.ndarray:
+        # the filter's constant matrices, built once per config (a replace()
+        # builds them anew); read-only, so no caller can alter them in place
         dt = self.dt
+        f = np.eye(6)
+        f[:3, 3:] = dt * np.eye(3)
         q = np.zeros((6, 6))
         q[:3, :3] = dt ** 4 / 4 * np.eye(3)
         q[:3, 3:] = dt ** 3 / 2 * np.eye(3)
         q[3:, :3] = dt ** 3 / 2 * np.eye(3)
         q[3:, 3:] = dt ** 2 * np.eye(3)
-        return self.sigma_a * q
+        q = self.sigma_a * q
+        for name, m in (("_transition", f), ("_process_noise", q)):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+
+    def transition(self) -> np.ndarray:
+        """Constant-velocity state transition over one ``dt`` (read-only)."""
+        return self._transition
+
+    def process_noise(self) -> np.ndarray:
+        """White-acceleration process noise over one ``dt`` (read-only)."""
+        return self._process_noise
 
 
 @dataclass
@@ -81,6 +89,8 @@ class TrackState:
 
 
 _H = np.hstack([np.eye(3), np.zeros((3, 3))])
+_I6 = np.eye(6)
+_H.flags.writeable = _I6.flags.writeable = False
 
 
 def kf_predict(t: TrackState, cfg: TrackerConfig) -> TrackState:
@@ -97,7 +107,7 @@ def kf_update(t: TrackState, z, cfg: TrackerConfig) -> TrackState:
         raise SingularInnovation("innovation covariance is numerically singular")
     k = t.covariance @ _H.T @ np.linalg.inv(s)
     mean = t.mean + k @ (z - _H @ t.mean)
-    ikh = np.eye(6) - k @ _H
+    ikh = _I6 - k @ _H
     cov = ikh @ t.covariance @ ikh.T + k @ cfg.r_meas @ k.T  # Joseph form
     cov = 0.5 * (cov + cov.T)
     mean[2] = max(mean[2], cfg.min_radius)
@@ -113,14 +123,16 @@ def circle_iou(a, b) -> float:
     d = math.hypot(x2 - x1, y2 - y1)
     if d >= r1 + r2:
         return 0.0
-    if d <= abs(r1 - r2):
+    # the second test catches centres so close that 2 d r underflows to 0
+    if d <= abs(r1 - r2) or 2 * d * min(r1, r2) == 0:
         small, big = min(r1, r2), max(r1, r2)
         return (small * small) / (big * big)
     alpha = math.acos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
     beta = math.acos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
     inter = alpha * r1 * r1 + beta * r2 * r2 - d * r1 * math.sin(alpha)
     union = math.pi * (r1 * r1 + r2 * r2) - inter
-    return inter / union
+    # nearly concentric equal disks can round a hair above 1
+    return min(inter / union, 1.0)
 
 
 def hungarian_assign(cost: np.ndarray) -> list[tuple[int, int]]:

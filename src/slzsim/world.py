@@ -330,11 +330,13 @@ def _step_drone(drone: DroneState, cmd, dt: float, cfg: ScenarioConfig) -> None:
         p[2] = min(p[2] + drone.speed_z * dt, cfg.ceiling)
 
 
-def _collision(world: WorldState, cfg: ScenarioConfig) -> bool:
-    if world.drone.position[2] > world.plane.h_h or not world.actors:
+def _collision(pos: np.ndarray, drone_xyz: np.ndarray, plane: HeadPlane,
+               cfg: ScenarioConfig) -> bool:
+    """Whether the drone at ``drone_xyz``, inside the crowd layer, overlaps
+    an actor at one of the positions ``pos`` (n, 2)."""
+    if drone_xyz[2] > plane.h_h or not len(pos):
         return False
-    pos = world.actor_positions()
-    d2 = ((pos - world.drone.position[:2]) ** 2).sum(axis=1)
+    d2 = ((pos - drone_xyz[:2]) ** 2).sum(axis=1)
     return bool(d2.min() < (cfg.body_radius + cfg.drone_radius) ** 2)
 
 
@@ -391,19 +393,20 @@ def simulate_mission(cfg: ScenarioConfig,
         for i, a in enumerate(world.actors):
             if a.moving:
                 world.actors[i] = random_walk_step(a, world.rng, cfg.roi_side)
+        # the actors stay put for the rest of the frame
+        pos = world.actor_positions()
 
         grid, proposals, exec_time, target = None, [], None, None
         scored = metrics_mod.TargetMetrics()
         if policy == "slz" and not landing:
-            heads = world.actor_positions()
             w2c = world.drone.world_to_camera()
             grid, visible, proposals, exec_time = perceive(
-                heads, w2c, k, manager, cam, plane, noise_cfg, slz_cfg,
+                pos, w2c, k, manager, cam, plane, noise_cfg, slz_cfg,
                 cell_size, margin, cfg.roi_side)
             target, incumbent_id = _select_with_hysteresis(
                 manager.tracks, cfg.criterion, incumbent_id)
             scored = metrics_mod.evaluate_target(
-                target, heads, grid, visible, slz_cfg.r0, cfg.roi_side)
+                target, pos, grid, visible, slz_cfg.r0, cfg.roi_side)
 
         if landing:
             cmd = Land()
@@ -422,13 +425,13 @@ def simulate_mission(cfg: ScenarioConfig,
 
         _step_drone(world.drone, cmd, cfg.dt_sim, cfg)
 
-        log.frames.append(_make_record(k, t, world, cmd, proposals,
+        log.frames.append(_make_record(k, t, pos, world.drone, cmd, proposals,
                                        manager.tracks, target, scored,
                                        exec_time))
         if frame_callback is not None:
             frame_callback(k, world, grid, proposals, manager.tracks, target)
 
-        if _collision(world, cfg):
+        if _collision(pos, world.drone.position, world.plane, cfg):
             log.outcome = "Collision"
             log.touchdown = [float(world.drone.position[0]),
                              float(world.drone.position[1])]
@@ -464,21 +467,20 @@ def _select_with_hysteresis(tracks, criterion: str, incumbent_id):
     return incumbent, incumbent.id
 
 
-def _make_record(k, t, world, cmd, proposals, tracks, target, scored,
+def _make_record(k, t, pos, drone, cmd, proposals, tracks, target, scored,
                  exec_time) -> FrameRecord:
-    pos = world.actor_positions()
     nearest = None
     if len(pos):
         nearest = float(np.sqrt(
-            ((pos - world.drone.position[:2]) ** 2).sum(axis=1).min()))
+            ((pos - drone.position[:2]) ** 2).sum(axis=1).min()))
     return FrameRecord(
         index=k, t=float(t),
-        drone=[float(v) for v in world.drone.position],
+        drone=[float(v) for v in drone.position],
         command=_command_name(cmd),
         proposals=[[p.cx, p.cy, p.radius] for p in proposals],
         tracks=[[t2.id, *[float(v) for v in t2.mean[:3]], t2.age, t2.misses]
                 for t2 in tracks],
         target_id=None if target is None else target.id,
         nearest_person=nearest, exec_time=exec_time,
-        actors=[[float(a.x), float(a.y)] for a in world.actors],
+        actors=pos.tolist(),
         **vars(scored))

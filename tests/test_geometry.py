@@ -7,6 +7,7 @@ from slzsim import (BehindCamera, CameraModel, DegenerateView, HeadPlane,
                     OccupancyGrid, PlaneGrid, RigidTransform,
                     back_project_pixel, compose, grid_footprint,
                     project_plane_point, sample_occupancy_to_plane)
+from slzsim.geometry import apply_geofence
 
 from conftest import nadir_w2c, random_rotation
 
@@ -264,6 +265,27 @@ def test_sample_monotone_safety(cam400):
         s2 = sample_occupancy_to_plane(o2, grid, w2c, cam400, plane)
         # every cell occupied under o1 stays occupied under the superset o2
         assert not ((s1.values == 0) & (s2.values == 255)).any()
+
+
+def test_geofence_matches_per_cell_test():
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        cell = float(rng.choice([0.1, 0.25, 0.5]))
+        rows, cols = (int(n) for n in rng.integers(1, 90, size=2))
+        # origins on the cell lattice put some centres exactly on 0 and on
+        # roi_side, where the ROI is closed
+        ox, oy = (float(v) * cell for v in rng.integers(-40, 40, size=2))
+        roi_side = float(rng.integers(1, 60)) * cell
+        values = np.where(rng.random((rows, cols)) < 0.3, 0, 255)
+        grid = PlaneGrid(ox, oy, cell, rows, cols, values.astype(np.uint8))
+        expected = grid.values.copy()
+        for i in range(rows):
+            for j in range(cols):
+                x, y = ox + j * cell, oy + i * cell
+                if not (0 <= x <= roi_side and 0 <= y <= roi_side):
+                    expected[i, j] = 0
+        apply_geofence(grid, roi_side)
+        assert np.array_equal(grid.values, expected)
 
 
 def test_plane_grid_validation():

@@ -1,12 +1,20 @@
 """Distance transform and iterative landing-zone extraction."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scipy import ndimage
+
 from slzsim import PlaneGrid, SlzConfig, euclidean_distance_transform, extract_slz
+from slzsim import slz as slz_mod
 
 from oracles import (boundary_distance_cells, brute_force_sqdist_cells,
                      largest_empty_circle_cells)
@@ -182,6 +190,96 @@ def test_extraction_sequence_matches_brute_force_oracle():
 def test_extraction_sequence_matches_oracle_on_small_grids(values, cell):
     grid = _grid(values, cell=cell, ox=1.5, oy=-2.0)
     _assert_sequence_matches_oracle(grid, SlzConfig(n_p=10, r0=cell * 0.51))
+
+
+# ---------------------------------------------------------------------------
+# disk distance cache
+
+def _direct_quadrant(rc2, half):
+    a = np.arange(half + 1)
+    return ndimage.distance_transform_edt(
+        a[:, None] ** 2 + a[None, :] ** 2 > rc2 + 1e-9)
+
+
+def _assert_quadrant_exact(got, rc2, half):
+    """``got`` holds the squares of the direct transform's distances, and
+    its square roots are those distances bit for bit."""
+    want = _direct_quadrant(rc2, half)
+    assert np.array_equal(got, np.rint(want * want))
+    assert np.array_equal(np.sqrt(got, dtype=float), want)
+
+
+@pytest.fixture
+def disk_cache(monkeypatch):
+    """A fresh, empty disk cache with the default budget."""
+    cache = slz_mod._DiskCache(slz_mod.DISK_CACHE_BYTES)
+    monkeypatch.setattr(slz_mod, "_DISK_CACHE", cache)
+    return cache
+
+
+def test_cached_disk_quadrant_matches_direct_transform(disk_cache):
+    for k in range(2001):
+        # a radius sqrt(k) cells from the transform, as extraction sees it
+        for cell in (0.1, 0.25, 0.3):
+            radius = math.sqrt(k) * cell
+            rc2 = (radius / cell) ** 2
+            half = math.ceil(2 * radius / cell) + 1
+            assert abs(rc2 - k) < 1e-10
+            got = slz_mod._disk_sqdist_cells(rc2, half)
+            assert not got.flags.writeable  # served from the cache
+            _assert_quadrant_exact(got, rc2, half)
+        # a perfect square's half-width is one less unless its radius
+        # rounds up; both half-widths read the same entry
+        for half in (math.isqrt(4 * k) + 1, math.isqrt(4 * k) + 2):
+            _assert_quadrant_exact(slz_mod._disk_sqdist_cells(float(k), half),
+                                   k, half)
+    assert 0 < disk_cache.nbytes <= slz_mod.DISK_CACHE_BYTES
+    # radii of 10 and 20 m at 0.1 m cells; the larger needs 4-byte squares
+    for k in (10_000, 40_000):
+        span = math.isqrt(4 * k) + 2
+        _assert_quadrant_exact(slz_mod._disk_sqdist_cells(float(k), span),
+                               k, span)
+
+
+def test_non_integer_squared_radius_takes_direct_path(disk_cache):
+    for m in range(60):
+        rc2 = (m + 0.5) ** 2  # a fully free grid's first disk
+        half = math.ceil(2 * (m + 0.5)) + 1
+        got = slz_mod._disk_sqdist_cells(rc2, half)
+        assert got.flags.writeable
+        _assert_quadrant_exact(got, rc2, half)
+    assert disk_cache.nbytes == 0
+
+
+def test_disk_cache_stays_within_byte_budget(monkeypatch):
+    cache = slz_mod._DiskCache(16 << 10)
+    monkeypatch.setattr(slz_mod, "_DISK_CACHE", cache)
+    for k in range(0, 3000, 7):
+        slz_mod._disk_sqdist_cells(float(k), math.isqrt(4 * k) + 2)
+        held = sum(q.nbytes for q in cache._quadrants.values())
+        assert cache.nbytes == held <= cache.max_bytes
+    # a quadrant larger than the whole budget is served but not kept, and
+    # evicts nothing
+    slz_mod._disk_sqdist_cells(100.0, 22)
+    before = list(cache._quadrants)
+    assert 100 in before
+    slz_mod._disk_sqdist_cells(40_000.0, 402)
+    assert list(cache._quadrants) == before
+    tiny = slz_mod._DiskCache(0)
+    monkeypatch.setattr(slz_mod, "_DISK_CACHE", tiny)
+    for grid in _edge_grids():
+        _assert_sequence_matches_oracle(
+            grid, SlzConfig(n_p=10, r0=grid.cell_size * 0.51))
+    assert tiny.nbytes == 0 and not tiny._quadrants
+
+
+def test_disk_cache_starts_empty():
+    code = "from slzsim import slz; print(slz._DISK_CACHE.nbytes)"
+    src = os.path.dirname(os.path.dirname(slz_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_proposal_invariants():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slzsim import (SingularInnovation, SlzProposal, TrackManager, TrackState,
                     TrackerConfig, circle_iou, hungarian_assign, kf_predict,
@@ -29,6 +31,22 @@ def test_transition_and_process_noise_blocks():
     assert np.allclose(q[:3, :3], 0.5 * 0.1 ** 4 / 4 * np.eye(3))
     assert np.allclose(q[:3, 3:], 0.5 * 0.1 ** 3 / 2 * np.eye(3))
     assert np.allclose(q[3:, 3:], 0.5 * 0.1 ** 2 * np.eye(3))
+
+
+def test_kf_constants_are_built_once_and_read_only():
+    cfg = TrackerConfig(dt=0.1, sigma_a=0.5)
+    assert cfg.transition() is cfg.transition()
+    assert cfg.process_noise() is cfg.process_noise()
+    t = _track([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+    before = kf_predict(t, cfg)
+    for m in (cfg.transition(), cfg.process_noise()):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            m *= 2.0
+    after = kf_predict(t, cfg)
+    assert np.array_equal(after.mean, before.mean)
+    assert np.array_equal(after.covariance, before.covariance)
 
 
 def test_config_validation():
@@ -154,6 +172,27 @@ def test_iou_symmetric_and_bounded():
         v = circle_iou(a, b)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(circle_iou(b, a), abs=1e-12)
+
+
+_coord = st.floats(-50.0, 50.0, allow_nan=False)
+_radius = st.floats(1e-3, 50.0, allow_nan=False)
+_circle = st.tuples(_coord, _coord, _radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circle, _circle)
+# nearly concentric equal disks, whose closed form rounds above 1
+@example((0.0, 0.0, 0.001), (0.0, 2.2250738585e-313, 0.001))
+# centres so close that 2 d r underflows to 0
+@example((0.0, 0.0, 0.25), (0.0, 5e-324, 0.25))
+# a small disk on a large disk's rim
+@example((0.0, 0.0, 46.0), (0.0, 46.0, 0.001))
+def test_iou_symmetric_and_bounded_property(a, b):
+    v = circle_iou(a, b)
+    assert 0.0 <= v <= 1.0
+    # the closed form is asymmetric in rounding: acos loses digits when a
+    # small disk sits on a large disk's rim, where the IoU is near 0
+    assert v == pytest.approx(circle_iou(b, a), rel=1e-9, abs=1e-9)
 
 
 def test_iou_rejects_nonpositive_radius():
@@ -292,3 +331,24 @@ def test_interrupted_pool_candidate_is_dropped():
     assert events.births == []  # only two consecutive appearances so far
     events = mgr.step([_prop(1.0, 1.0, 2.0)])
     assert len(events.births) == 1
+
+
+_stream_circle = st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0),
+                           st.floats(0.2, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.lists(st.lists(_stream_circle, max_size=6), max_size=25))
+def test_track_ids_unique_and_live_tracks_capped(n_p, mu1, mu2, stream):
+    mgr = TrackManager(TrackerConfig(n_p=n_p, mu1=mu1, mu2=mu2))
+    born = set()
+    for k, circles in enumerate(stream):
+        events = mgr.step([_prop(*c, k) for c in circles])
+        assert born.isdisjoint(events.births)
+        assert len(set(events.births)) == len(events.births)
+        born.update(events.births)
+        ids = [t.id for t in mgr.tracks]
+        assert len(ids) == len(set(ids)) <= n_p
+        assert set(ids) <= born
+        assert set(events.deaths) <= born and set(events.deaths).isdisjoint(ids)
