@@ -13,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -190,15 +191,43 @@ def cmd_run(args) -> int:
     return EXIT_TIMEOUT
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_batch(args) -> int:
+    # imported here so that `run` and `replay` do not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     rc = build_run_config(args)
     if args.runs < 1:
         raise ConfigError("--runs must be at least 1")
+    cores = _usable_cores()
+    # fork shares the imported numpy and scipy; a spawned worker would
+    # import them again, which costs more than a short batch. slzsim starts
+    # no threads of its own, and a pool with a fork context starts all its
+    # workers before its manager thread.
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    jobs = args.jobs
+    if jobs is None:
+        jobs = cores if forkable else 1
+    if not 1 <= jobs <= cores:
+        raise ConfigError(f"--jobs must be between 1 and {cores}, "
+                          f"the usable cores")
     rc.out_dir.mkdir(parents=True, exist_ok=True)
-    base = rc.scenario.seed
-    logs = []
-    for i in range(args.runs):
-        logs.append(_run_one(rc, base + i))
+    seeds = range(rc.scenario.seed, rc.scenario.seed + args.runs)
+    workers = min(jobs, args.runs)
+    # map() yields results in seed order, with or without a pool
+    if workers == 1:
+        logs = list(map(_run_one, [rc] * args.runs, seeds))
+    else:
+        ctx = multiprocessing.get_context("fork" if forkable else None)
+        with ProcessPoolExecutor(workers, mp_context=ctx) as ex:
+            logs = list(ex.map(_run_one, [rc] * args.runs, seeds))
 
     reps = [metrics.aggregate([log]) for log in logs]
     _write_csv(rc.out_dir / "summary.csv", SUMMARY_COLUMNS,
@@ -285,6 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="seeded batch evaluation")
     common(p_batch)
     p_batch.add_argument("--runs", type=int, default=100)
+    p_batch.add_argument("--jobs", type=int, default=None,
+                         help="worker processes (default: one per usable "
+                              "core, at most --runs)")
     p_batch.set_defaults(func=cmd_batch)
 
     p_replay = sub.add_parser("replay", help="replay head annotations")

@@ -6,7 +6,9 @@ cycle is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import warnings
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -23,6 +25,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Open ``path`` for reading text; bytes that do not decode make it a
+    malformed file."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # head annotations: "frame_id,head_id,x_m,y_m" in world-frame meters
 
@@ -35,16 +48,48 @@ def write_annotations(path, frames) -> None:
                 fh.write(f"{int(frame_id)},{head_id},{_fmt(x)},{_fmt(y)}\n")
 
 
+# one annotation line; head_id is read only so that a row must have 4 fields
+_ANNOTATION_ROW = np.dtype([("frame_id", np.int64), ("head_id", float),
+                            ("x", float), ("y", float)])
+
+
 def load_annotations(path) -> list[tuple[int, np.ndarray]]:
     """Parse an annotation stream into (frame_id, heads) groups.
 
-    Frame ids must be non-decreasing through the file.
+    Frame ids must be non-decreasing through the file. The file is parsed
+    as one array. numpy's number syntax is stricter than Python's, so any
+    line it refuses, and any backward frame id, sends the whole file to
+    the line parser, which accepts what Python accepts and names the line
+    of the first fault.
     """
-    frames: list[tuple[int, list]] = []
-    with open(path) as fh:
+    with _reading(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != ANNOTATION_HEADER:
             raise MalformedFile(f"{path}: bad annotation header {header!r}")
+        try:
+            with warnings.catch_warnings():
+                # a body without lines is a stream of no frames
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                rows = np.loadtxt(fh, dtype=_ANNOTATION_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+        except ValueError:
+            return _load_annotation_lines(path)
+    if not len(rows):
+        return []
+    fid = rows["frame_id"]
+    steps = np.diff(fid)
+    if (steps < 0).any():
+        return _load_annotation_lines(path)
+    starts = np.flatnonzero(steps) + 1
+    heads = np.column_stack((rows["x"], rows["y"]))
+    return list(zip(fid[np.r_[0, starts]].tolist(), np.split(heads, starts)))
+
+
+def _load_annotation_lines(path) -> list[tuple[int, np.ndarray]]:
+    """`load_annotations` one line at a time, with Python's int and float."""
+    frames: list[tuple[int, list]] = []
+    with _reading(path) as fh:
+        fh.readline()
         last = None
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -88,7 +133,7 @@ def load_pose_rows(path) -> list[tuple[int, tuple, tuple]]:
     Frame ids must be strictly increasing; quaternions must be unit within 1 %.
     """
     rows: list[tuple[int, tuple, tuple]] = []
-    with open(path) as fh:
+    with _reading(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != POSE_HEADER:
             raise MalformedFile(f"{path}: bad pose header {header!r}")
@@ -151,34 +196,46 @@ def write_mission_log(path, log: MissionLog) -> None:
 
 def load_mission_log(path) -> MissionLog:
     log = None
-    with open(path) as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise MalformedFile(f"{path}:{lineno}: not a JSON object")
             kind = rec.pop("type", None)
-            if kind == "meta":
-                log = MissionLog(seed=rec["seed"], criterion=rec["criterion"],
-                                 policy=rec["policy"],
-                                 start_altitude=rec["start_altitude"])
-            elif kind == "frame":
-                if log is None:
-                    raise MalformedFile(f"{path}:{lineno}: frame before meta")
-                log.frames.append(FrameRecord(**rec))
-            elif kind == "outcome":
-                if log is None:
-                    raise MalformedFile(f"{path}:{lineno}: outcome before meta")
-                if rec["outcome"] not in OUTCOMES:
+            try:
+                if kind == "meta":
+                    log = MissionLog(seed=rec["seed"],
+                                     criterion=rec["criterion"],
+                                     policy=rec["policy"],
+                                     start_altitude=rec["start_altitude"])
+                elif kind == "frame":
+                    if log is None:
+                        raise MalformedFile(
+                            f"{path}:{lineno}: frame before meta")
+                    log.frames.append(FrameRecord(**rec))
+                elif kind == "outcome":
+                    if log is None:
+                        raise MalformedFile(
+                            f"{path}:{lineno}: outcome before meta")
+                    if rec["outcome"] not in OUTCOMES:
+                        raise MalformedFile(f"{path}:{lineno}: unknown "
+                                            f"outcome {rec['outcome']!r}")
+                    log.outcome = rec["outcome"]
+                    log.touchdown = rec["touchdown"]
+                else:
                     raise MalformedFile(
-                        f"{path}:{lineno}: unknown outcome {rec['outcome']!r}")
-                log.outcome = rec["outcome"]
-                log.touchdown = rec["touchdown"]
-            else:
-                raise MalformedFile(f"{path}:{lineno}: unknown record {kind!r}")
+                        f"{path}:{lineno}: unknown record {kind!r}")
+            except KeyError as exc:
+                raise MalformedFile(
+                    f"{path}:{lineno}: {kind} record without {exc}") from exc
+            except TypeError as exc:    # FrameRecord fields missing or extra
+                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     if log is None:
         raise MalformedFile(f"{path}: empty mission log")
     return log

@@ -9,7 +9,7 @@ for mu2 consecutive frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -61,6 +61,19 @@ class TrackerConfig:
         for name, m in (("_transition", f), ("_process_noise", q)):
             m.flags.writeable = False
             object.__setattr__(self, name, m)
+
+    def _values(self) -> tuple:
+        """The fields, with ``r_meas`` as a tuple so it compares by value."""
+        return tuple(tuple(self.r_meas.flat) if f.name == "r_meas"
+                     else getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def transition(self) -> np.ndarray:
         """Constant-velocity state transition over one ``dt`` (read-only)."""

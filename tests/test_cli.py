@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: run, batch, replay, exit codes."""
 
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from slzsim import aggregate
-from slzsim.cli import build_parser, build_run_config, main
+from slzsim import aggregate, cli
+from slzsim.cli import _usable_cores, build_parser, build_run_config, main
 from slzsim.fileio import load_mission_log, write_annotations, write_poses
 
 
@@ -248,6 +250,63 @@ def test_batch_bad_runs_leaves_no_output_dir(tmp_path, capsys):
     assert main(["batch", *FAST, "--runs", "0", "--out", str(out)]) == 64
     assert "--runs" in capsys.readouterr().err
     assert not out.exists()  # rejected before the output directory is made
+
+
+def test_batch_csvs_identical_across_jobs(tmp_path):
+    if _usable_cores() < 2:
+        pytest.skip("needs two usable cores")
+    outs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+        outs.append(tmp_path / f"jobs{''.join(jobs)}")
+        # 3 runs: with 2 workers one of them runs two missions
+        assert main(["batch", "--seed", "4", "--actors", "20", "--frac-moving",
+                     "0.2", "--runs", "3", *jobs, "--out", str(outs[-1])]) == 0
+        assert not multiprocessing.active_children()
+    for name in ("summary.csv", "aggregate.csv"):
+        first, *rest = [(out / name).read_bytes() for out in outs]
+        assert all(other == first for other in rest), name
+    rows = (outs[0] / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["4", "5", "6"]
+
+
+@pytest.mark.parametrize("jobs, in_workers",
+                         [([], True), (["--jobs", "1"], False)])
+def test_batch_runs_missions_in_workers_by_default(tmp_path, monkeypatch, jobs,
+                                                  in_workers):
+    if _usable_cores() < 2:
+        pytest.skip("needs two usable cores")
+    simulate = cli.simulate_mission
+
+    def simulate_and_mark(*args, **kwargs):
+        (tmp_path / f"pid{os.getpid()}").touch()
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_mission", simulate_and_mark)
+    assert main(["batch", *FAST, "--runs", "2", *jobs,
+                 "--out", str(tmp_path / "o")]) == 0
+    pids = {int(p.name[3:]) for p in tmp_path.glob("pid*")}
+    assert pids and (os.getpid() not in pids) == in_workers
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_batch_jobs_out_of_range_exits_64(tmp_path, capsys, extra):
+    # 0, or one more than the usable cores; no worker is started either way
+    jobs = extra * (_usable_cores() + 1)
+    out = tmp_path / "o"
+    assert main(["batch", *FAST, "--runs", "2", "--jobs", str(jobs),
+                 "--out", str(out)]) == 64
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_batch_worker_placement_failure_exits_70(tmp_path, capsys):
+    cfg = _ini(tmp_path, "[scenario]\nroi_side = 2\n")
+    assert main(["batch", "--config", cfg, "--actors", "500", "--runs", "2",
+                 "--out", str(tmp_path / "o")]) == 70
+    err = capsys.readouterr().err
+    assert "PlacementFailure" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slzsim import MalformedFile, ScenarioConfig, simulate_mission
-from slzsim.fileio import (load_annotations, load_mission_log, load_pose_rows,
-                           load_poses, write_annotations, write_mission_log,
-                           write_poses)
+from slzsim.fileio import (_load_annotation_lines, load_annotations,
+                           load_mission_log, load_pose_rows, load_poses,
+                           write_annotations, write_mission_log, write_poses)
 
 
 def _sample_frames(rng, n=6):
@@ -50,9 +52,13 @@ def test_annotations_reject_bad_header_and_fields(tmp_path):
     path.write_text("HEADZ v9\n")
     with pytest.raises(MalformedFile):
         load_annotations(path)
-    path.write_text("HEADS v1\n1,0,2.0\n")
-    with pytest.raises(MalformedFile):
-        load_annotations(path)
+    for body, fault in [("1,0,2.0\n", "expected 4 fields"),
+                        ("1,0,2.0,x\n", "could not convert"),
+                        ("1,0,2.0,3.0 # note\n", "could not convert"),
+                        ("1.0,0,2.0,3.0\n", "invalid literal for int")]:
+        path.write_text("HEADS v1\n0,0,1.0,1.0\n\n" + body)
+        with pytest.raises(MalformedFile, match=f":4: {fault}"):
+            load_annotations(path)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +152,14 @@ def test_mission_log_rejects_garbage(tmp_path):
     path.write_text("")
     with pytest.raises(MalformedFile):
         load_mission_log(path)
+    meta = ('{"type": "meta", "seed": 1, "criterion": "oldest", '
+            '"policy": "slz", "start_altitude": 10.0}\n')
+    for text in ["[1, 2]\n", '{"type": "meta", "seed": 1}\n',
+                 meta + '{"type": "frame", "index": 0}\n',
+                 meta + '{"type": "outcome", "outcome": "Timeout"}\n']:
+        path.write_text(text)
+        with pytest.raises(MalformedFile):
+            load_mission_log(path)
 
 
 def test_mission_log_rejects_unknown_outcome(tmp_path):
@@ -157,3 +171,69 @@ def test_mission_log_rejects_unknown_outcome(tmp_path):
     path.write_text(text.replace('"outcome": "Timeout"', '"outcome": "Crashed"'))
     with pytest.raises(MalformedFile, match="'Crashed'"):
         load_mission_log(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed contents: every loader fails with MalformedFile or not at all
+
+@st.composite
+def _mutated(draw, text: bytes) -> bytes:
+    """``text`` with a few short spans replaced by random or telling bytes."""
+    data = bytearray(text)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data[i:j] = draw(st.binary(max_size=8) | st.sampled_from(
+            [b"", b",", b"\n", b" ", b"#", b"-", b"e", b"_", b"0", b"1.5",
+             b"nan", b"{", b"}", b"[", b'"', b"\xff", b"\xc3"]))
+    return bytes(data)
+
+
+def _valid_files(tmp) -> dict:
+    """One valid file of each format, as bytes."""
+    rng = np.random.default_rng(5)
+    write_annotations(tmp / "a", [(0, [(1.0, 2.0), (3.0, 4.0)]),
+                                  (2, [(5.0, 6.0)])])
+    write_poses(tmp / "p", _sample_poses(rng, n=3))
+    write_mission_log(tmp / "m", simulate_mission(
+        ScenarioConfig(seed=1, n_actors=2, max_mission_time=0.2)))
+    return {name: (tmp / name).read_bytes() for name in "apm"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    return tmp, _valid_files(tmp)
+
+
+@pytest.mark.parametrize("name, loader", [("a", load_annotations),
+                                          ("p", load_pose_rows),
+                                          ("m", load_mission_log)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_raise_only_malformed_file(fuzz_dir, name, loader, data):
+    tmp, valid = fuzz_dir
+    path = tmp / f"fuzzed_{name}"
+    path.write_bytes(data.draw(st.binary(max_size=64) | _mutated(valid[name])))
+    try:
+        loader(path)
+    except MalformedFile:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_annotation_array_parse_matches_line_parser(fuzz_dir, data):
+    tmp, valid = fuzz_dir
+    path = tmp / "fuzzed_lines"
+    text = data.draw(_mutated(valid["a"]))
+    path.write_bytes(text)
+    results = []
+    for load in (load_annotations, _load_annotation_lines):
+        try:
+            results.append([(fid, heads.shape, heads.tobytes())
+                            for fid, heads in load(path)])
+        except MalformedFile as exc:
+            results.append(str(exc))
+    if text.startswith(b"HEADS v1\n"):  # else only the header is read
+        assert results[0] == results[1]

@@ -60,6 +60,14 @@ def test_config_validation():
     assert np.allclose(cfg.r_meas, 0.5 * np.eye(3))
 
 
+def test_config_equality_compares_r_meas_by_value():
+    a, b = TrackerConfig(), TrackerConfig(r_meas=0.25 * np.eye(3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != TrackerConfig(r_meas=np.diag([0.25, 0.25, 0.5]))
+    assert a != TrackerConfig(dt=0.2)
+    assert a != "TrackerConfig()"
+
+
 @pytest.mark.parametrize("field, value", [("sigma_a", float("nan")),
                                           ("sigma_a", float("inf")),
                                           ("dt", float("nan")),
