@@ -206,26 +206,19 @@ def cmd_batch(args) -> int:
     rc = build_run_config(args)
     if args.runs < 1:
         raise ConfigError("--runs must be at least 1")
-    cores = _usable_cores()
     # fork shares the imported numpy and scipy; a spawned worker would
     # import them again, which costs more than a short batch. slzsim starts
     # no threads of its own, and a pool with a fork context starts all its
     # workers before its manager thread.
     forkable = "fork" in multiprocessing.get_all_start_methods()
-    jobs = args.jobs
-    if jobs is None:
-        jobs = cores if forkable else 1
-    if not 1 <= jobs <= cores:
-        raise ConfigError(f"--jobs must be between 1 and {cores}, "
-                          f"the usable cores")
+    workers = min(args.runs, _usable_cores()) if forkable else 1
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     seeds = range(rc.scenario.seed, rc.scenario.seed + args.runs)
-    workers = min(jobs, args.runs)
     # map() yields results in seed order, with or without a pool
     if workers == 1:
         logs = list(map(_run_one, [rc] * args.runs, seeds))
     else:
-        ctx = multiprocessing.get_context("fork" if forkable else None)
+        ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=ctx) as ex:
             logs = list(ex.map(_run_one, [rc] * args.runs, seeds))
 
@@ -314,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="seeded batch evaluation")
     common(p_batch)
     p_batch.add_argument("--runs", type=int, default=100)
-    p_batch.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: one per usable "
-                              "core, at most --runs)")
     p_batch.set_defaults(func=cmd_batch)
 
     p_replay = sub.add_parser("replay", help="replay head annotations")

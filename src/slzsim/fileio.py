@@ -70,9 +70,12 @@ def load_annotations(path) -> list[tuple[int, np.ndarray]]:
             with warnings.catch_warnings():
                 # a body without lines is a stream of no frames
                 warnings.filterwarnings("ignore", "loadtxt: input contained")
+                # numpy 1.23-1.26 read an integer written as a float, such
+                # as "1.0", with only a DeprecationWarning; int() refuses it
+                warnings.simplefilter("error", DeprecationWarning)
                 rows = np.loadtxt(fh, dtype=_ANNOTATION_ROW, delimiter=",",
                                   comments=None, ndmin=1)
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             return _load_annotation_lines(path)
     if not len(rows):
         return []

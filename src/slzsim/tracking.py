@@ -17,7 +17,9 @@ from scipy.optimize import linear_sum_assignment
 from .errors import SingularInnovation
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ or __hash__ would compare the r_meas array
+# with ==, which raises; a config compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class TrackerConfig:
     sigma_a: float = 0.5                 # acceleration uncertainty
     r_meas: float | np.ndarray = 0.25    # variance, or 3x3 measurement covariance
@@ -62,18 +64,10 @@ class TrackerConfig:
             m.flags.writeable = False
             object.__setattr__(self, name, m)
 
-    def _values(self) -> tuple:
-        """The fields, with ``r_meas`` as a tuple so it compares by value."""
-        return tuple(tuple(self.r_meas.flat) if f.name == "r_meas"
-                     else getattr(self, f.name) for f in fields(self))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
+    def __reduce__(self):
+        # pickle drops the read-only flag of an array; rebuilding from the
+        # fields makes the constants anew, read-only, in a pool's worker too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def transition(self) -> np.ndarray:
         """Constant-velocity state transition over one ``dt`` (read-only)."""

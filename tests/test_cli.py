@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slzsim import aggregate, cli
-from slzsim.cli import _usable_cores, build_parser, build_run_config, main
+from slzsim.cli import build_parser, build_run_config, main
 from slzsim.fileio import load_mission_log, write_annotations, write_poses
 
 
@@ -252,15 +252,14 @@ def test_batch_bad_runs_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()  # rejected before the output directory is made
 
 
-def test_batch_csvs_identical_across_jobs(tmp_path):
-    if _usable_cores() < 2:
-        pytest.skip("needs two usable cores")
+def test_batch_csvs_identical_in_process_and_in_workers(tmp_path, monkeypatch):
     outs = []
-    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
-        outs.append(tmp_path / f"jobs{''.join(jobs)}")
-        # 3 runs: with 2 workers one of them runs two missions
+    # 1 core runs in-process; 2 workers split 3 runs unevenly; 3 run one each
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        outs.append(tmp_path / f"cores{cores}")
         assert main(["batch", "--seed", "4", "--actors", "20", "--frac-moving",
-                     "0.2", "--runs", "3", *jobs, "--out", str(outs[-1])]) == 0
+                     "0.2", "--runs", "3", "--out", str(outs[-1])]) == 0
         assert not multiprocessing.active_children()
     for name in ("summary.csv", "aggregate.csv"):
         first, *rest = [(out / name).read_bytes() for out in outs]
@@ -269,12 +268,9 @@ def test_batch_csvs_identical_across_jobs(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["4", "5", "6"]
 
 
-@pytest.mark.parametrize("jobs, in_workers",
-                         [([], True), (["--jobs", "1"], False)])
-def test_batch_runs_missions_in_workers_by_default(tmp_path, monkeypatch, jobs,
-                                                  in_workers):
-    if _usable_cores() < 2:
-        pytest.skip("needs two usable cores")
+@pytest.mark.parametrize("cores, in_workers", [(1, False), (2, True)])
+def test_batch_runs_missions_in_workers_given_cores(tmp_path, monkeypatch,
+                                                    cores, in_workers):
     simulate = cli.simulate_mission
 
     def simulate_and_mark(*args, **kwargs):
@@ -282,25 +278,17 @@ def test_batch_runs_missions_in_workers_by_default(tmp_path, monkeypatch, jobs,
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_mission", simulate_and_mark)
-    assert main(["batch", *FAST, "--runs", "2", *jobs,
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    assert main(["batch", *FAST, "--runs", "2",
                  "--out", str(tmp_path / "o")]) == 0
+    assert not multiprocessing.active_children()
     pids = {int(p.name[3:]) for p in tmp_path.glob("pid*")}
     assert pids and (os.getpid() not in pids) == in_workers
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_batch_jobs_out_of_range_exits_64(tmp_path, capsys, extra):
-    # 0, or one more than the usable cores; no worker is started either way
-    jobs = extra * (_usable_cores() + 1)
-    out = tmp_path / "o"
-    assert main(["batch", *FAST, "--runs", "2", "--jobs", str(jobs),
-                 "--out", str(out)]) == 64
-    assert "--jobs" in capsys.readouterr().err
-    assert not out.exists()
-    assert not multiprocessing.active_children()
-
-
-def test_batch_worker_placement_failure_exits_70(tmp_path, capsys):
+def test_batch_worker_placement_failure_exits_70(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     cfg = _ini(tmp_path, "[scenario]\nroi_side = 2\n")
     assert main(["batch", "--config", cfg, "--actors", "500", "--runs", "2",
                  "--out", str(tmp_path / "o")]) == 70

@@ -1,5 +1,8 @@
 """Annotation, pose, and mission-log file formats."""
 
+import io
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +174,24 @@ def test_mission_log_rejects_unknown_outcome(tmp_path):
     path.write_text(text.replace('"outcome": "Timeout"', '"outcome": "Crashed"'))
     with pytest.raises(MalformedFile, match="'Crashed'"):
         load_mission_log(path)
+
+
+def test_annotations_refuse_float_frame_id_numpy_reads_with_a_warning(
+        tmp_path, monkeypatch):
+    # numpy 1.23-1.26 read "1.0" into an int64 field with a DeprecationWarning
+    loadtxt = np.loadtxt
+
+    def lenient_loadtxt(fh, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning)
+        return loadtxt(io.StringIO(fh.read().replace("1.0,0,", "1,0,")),
+                       **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    path = tmp_path / "h.csv"
+    path.write_text("HEADS v1\n0,0,1.0,1.0\n1.0,0,2.0,3.0\n")
+    with pytest.raises(MalformedFile, match=":3: invalid literal for int"):
+        load_annotations(path)
 
 
 # ---------------------------------------------------------------------------
