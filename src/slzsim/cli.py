@@ -13,11 +13,10 @@ import argparse
 import configparser
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
-from . import fileio, metrics, render
+from . import fileio, metrics, parallel, render
 from .density import OracleNoiseConfig
 from .errors import ConfigError, MalformedFile, SlzSimError
 from .geometry import CameraModel, HeadPlane, compose
@@ -191,36 +190,14 @@ def cmd_run(args) -> int:
     return EXIT_TIMEOUT
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:     # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def cmd_batch(args) -> int:
-    # imported here so that `run` and `replay` do not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     rc = build_run_config(args)
     if args.runs < 1:
         raise ConfigError("--runs must be at least 1")
-    # fork shares the imported numpy and scipy; a spawned worker would
-    # import them again, which costs more than a short batch. slzsim starts
-    # no threads of its own, and a pool with a fork context starts all its
-    # workers before its manager thread.
-    forkable = "fork" in multiprocessing.get_all_start_methods()
-    workers = min(args.runs, _usable_cores()) if forkable else 1
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     seeds = range(rc.scenario.seed, rc.scenario.seed + args.runs)
-    # map() yields results in seed order, with or without a pool
-    if workers == 1:
-        logs = list(map(_run_one, [rc] * args.runs, seeds))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=ctx) as ex:
-            logs = list(ex.map(_run_one, [rc] * args.runs, seeds))
+    with parallel.ordered_map(args.runs) as pmap:
+        logs = list(pmap(_run_one, [rc] * args.runs, seeds))
 
     reps = [metrics.aggregate([log]) for log in logs]
     _write_csv(rc.out_dir / "summary.csv", SUMMARY_COLUMNS,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -56,9 +57,10 @@ _ANNOTATION_ROW = np.dtype([("frame_id", np.int64), ("head_id", float),
 def load_annotations(path) -> list[tuple[int, np.ndarray]]:
     """Parse an annotation stream into (frame_id, heads) groups.
 
-    Frame ids must be non-decreasing through the file. The file is parsed
-    as one array. numpy's number syntax is stricter than Python's, so any
-    line it refuses, and any backward frame id, sends the whole file to
+    Frame ids must be non-decreasing through the file, and head
+    coordinates finite. The file is parsed as one array. numpy's number
+    syntax is stricter than Python's, so any line it refuses, and any
+    backward frame id or non-finite coordinate, sends the whole file to
     the line parser, which accepts what Python accepts and names the line
     of the first fault.
     """
@@ -81,10 +83,10 @@ def load_annotations(path) -> list[tuple[int, np.ndarray]]:
         return []
     fid = rows["frame_id"]
     steps = np.diff(fid)
-    if (steps < 0).any():
+    heads = np.column_stack((rows["x"], rows["y"]))
+    if (steps < 0).any() or not np.isfinite(heads).all():
         return _load_annotation_lines(path)
     starts = np.flatnonzero(steps) + 1
-    heads = np.column_stack((rows["x"], rows["y"]))
     return list(zip(fid[np.r_[0, starts]].tolist(), np.split(heads, starts)))
 
 
@@ -106,6 +108,9 @@ def _load_annotation_lines(path) -> list[tuple[int, np.ndarray]]:
                 x, y = float(parts[2]), float(parts[3])
             except ValueError as exc:
                 raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise MalformedFile(
+                    f"{path}:{lineno}: non-finite head coordinate")
             if last is not None and frame_id < last:
                 raise MalformedFile(
                     f"{path}:{lineno}: non-monotone frame id {frame_id}")
@@ -133,7 +138,8 @@ def load_pose_rows(path) -> list[tuple[int, tuple, tuple]]:
     """Parse a pose file into raw (frame_id, (tx, ty, tz), (qx, qy, qz, qw))
     rows, preserving the stored quaternion exactly.
 
-    Frame ids must be strictly increasing; quaternions must be unit within 1 %.
+    Frame ids must be strictly increasing, translations finite, and
+    quaternions unit within 1 %.
     """
     rows: list[tuple[int, tuple, tuple]] = []
     with _reading(path) as fh:
@@ -153,6 +159,8 @@ def load_pose_rows(path) -> list[tuple[int, tuple, tuple]]:
                 vals = [float(p) for p in parts[1:]]
             except ValueError as exc:
                 raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, vals[:3])):
+                raise MalformedFile(f"{path}:{lineno}: non-finite translation")
             if last is not None and frame_id <= last:
                 raise MalformedFile(
                     f"{path}:{lineno}: non-monotone frame id {frame_id}")

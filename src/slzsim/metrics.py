@@ -8,11 +8,12 @@ personal-space square per person and extracting the 10 biggest circles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import world
+from . import parallel, world
 # occupancy_from_density, render_oracle_density, grid_footprint and
 # sample_occupancy_to_plane are called only by world.perceive; they stay
 # imported here because the benchmark's tracer (perfbench/tracing.py) wraps
@@ -187,6 +188,21 @@ class ReplayFrame(TargetMetrics):
     exec_time: float
 
 
+def _detect(frame_id: int, heads: np.ndarray, w2c, cam: CameraModel,
+            plane: HeadPlane, noise_cfg: OracleNoiseConfig,
+            slz_cfg: SlzConfig, cell_size: float, margin: float):
+    """One replay frame's detection, which a pool worker may run. Returns
+    what the tracking and scoring of the frame read: the proposals, the
+    host seconds taken, the grid's geometry and the visible mask, but not
+    the grid's values."""
+    grid, visible, proposals, exec_time = world.perceive(
+        heads, w2c, frame_id, cam, plane, noise_cfg, slz_cfg, cell_size,
+        margin)
+    geometry = (grid.origin_x, grid.origin_y, grid.cell_size, grid.rows,
+                grid.cols)
+    return proposals, exec_time, geometry, visible
+
+
 def replay_annotations(frames, poses, cam: CameraModel, plane: HeadPlane,
                        slz_cfg: SlzConfig | None = None,
                        tracker_cfg: TrackerConfig | None = None,
@@ -199,25 +215,37 @@ def replay_annotations(frames, poses, cam: CameraModel, plane: HeadPlane,
     frames: iterable of (frame_id, heads array (n, 2) in world meters).
     poses: mapping frame_id -> world-to-camera RigidTransform.
     No drone motion is simulated; per-frame metrics use the selected
-    criterion's target track.
+    criterion's target track. Detection depends on no other frame, so it
+    runs on ``parallel.ordered_map``'s pool; tracking and scoring run
+    here, in frame order, as each frame's detection arrives.
     """
     slz_cfg = slz_cfg or SlzConfig()
     tracker_cfg = tracker_cfg or TrackerConfig()
     noise_cfg = noise_cfg or OracleNoiseConfig()
+    frames = [(frame_id, np.asarray(heads, dtype=float).reshape(-1, 2))
+              for frame_id, heads in frames]
+    missing = next((fid for fid, _ in frames if fid not in poses), None)
+    if missing is not None:
+        raise KeyError(f"no camera pose for frame {missing}")
+    detect = functools.partial(
+        _detect, cam=cam, plane=plane, noise_cfg=noise_cfg, slz_cfg=slz_cfg,
+        cell_size=cell_size, margin=margin)
     manager = TrackManager(tracker_cfg)
     rows: list[ReplayFrame] = []
 
-    for frame_id, heads in frames:
-        if frame_id not in poses:
-            raise KeyError(f"no camera pose for frame {frame_id}")
-        w2c = poses[frame_id]
-        heads = np.asarray(heads, dtype=float).reshape(-1, 2)
-        grid, visible, proposals, exec_time = world.perceive(
-            heads, w2c, frame_id, manager, cam, plane, noise_cfg, slz_cfg,
-            cell_size, margin)
-        target = world.select_target(manager.tracks, criterion)
-        scored = evaluate_target(target, heads, grid, visible, slz_cfg.r0)
-        rows.append(ReplayFrame(frame_id=frame_id, n_heads=len(heads),
-                                n_proposals=len(proposals),
-                                exec_time=exec_time, **vars(scored)))
+    with parallel.ordered_map(len(frames)) as pmap:
+        detections = pmap(detect, [fid for fid, _ in frames],
+                          [heads for _, heads in frames],
+                          [poses[fid] for fid, _ in frames])
+        for (frame_id, heads), (proposals, exec_time, geometry, visible) \
+                in zip(frames, detections):
+            manager.step(proposals)
+            target = world.select_target(manager.tracks, criterion)
+            scored = TargetMetrics()
+            if target is not None:   # scoring reads only grid geometry
+                scored = evaluate_target(target, heads, PlaneGrid(*geometry),
+                                         visible, slz_cfg.r0)
+            rows.append(ReplayFrame(frame_id=frame_id, n_heads=len(heads),
+                                    n_proposals=len(proposals),
+                                    exec_time=exec_time, **vars(scored)))
     return rows, _pool(MetricsReport(n_missions=0), [rows])

@@ -213,15 +213,15 @@ def observe(heads, w2c: RigidTransform, cam: CameraModel, plane: HeadPlane,
                                  cam.width, cam.height)
 
 
-def perceive(heads, w2c: RigidTransform, frame: int, manager: TrackManager,
-             cam: CameraModel, plane: HeadPlane, noise: OracleNoiseConfig,
-             slz_cfg: SlzConfig, cell_size: float, margin: float,
-             roi_side: float | None = None
+def perceive(heads, w2c: RigidTransform, frame: int, cam: CameraModel,
+             plane: HeadPlane, noise: OracleNoiseConfig, slz_cfg: SlzConfig,
+             cell_size: float, margin: float, roi_side: float | None = None
              ) -> tuple[PlaneGrid, np.ndarray, list, float]:
-    """One frame of the perception pipeline, shared by missions and replay:
-    oracle density -> occupancy -> head-plane grid -> SLZ extraction ->
-    tracker step. The oracle noise is reseeded per frame; with
-    ``roi_side`` the grid is geofenced to the ROI before extraction.
+    """One frame of detection, shared by missions and replay: oracle
+    density -> occupancy -> head-plane grid -> SLZ extraction. It reads no
+    state of earlier frames; the caller steps its tracker with the
+    proposals. The oracle noise is reseeded per frame; with ``roi_side``
+    the grid is geofenced to the ROI before extraction.
     Returns the head-plane grid, the mask of its cells the camera sees
     (before the geofence), the proposals and the host seconds taken.
     """
@@ -234,7 +234,6 @@ def perceive(heads, w2c: RigidTransform, frame: int, manager: TrackManager,
     if roi_side is not None:
         apply_geofence(grid, roi_side)
     proposals = extract_slz(grid, slz_cfg, frame)
-    manager.step(proposals)
     return grid, visible, proposals, time.perf_counter() - t0
 
 
@@ -401,8 +400,9 @@ def simulate_mission(cfg: ScenarioConfig,
         if policy == "slz" and not landing:
             w2c = world.drone.world_to_camera()
             grid, visible, proposals, exec_time = perceive(
-                pos, w2c, k, manager, cam, plane, noise_cfg, slz_cfg,
-                cell_size, margin, cfg.roi_side)
+                pos, w2c, k, cam, plane, noise_cfg, slz_cfg, cell_size,
+                margin, cfg.roi_side)
+            manager.step(proposals)
             target, incumbent_id = _select_with_hysteresis(
                 manager.tracks, cfg.criterion, incumbent_id)
             scored = metrics_mod.evaluate_target(

@@ -1,7 +1,17 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from slzsim import CameraModel, DroneState, RigidTransform
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running."""
+    yield
+    assert not multiprocessing.active_children(), \
+        "the test left child processes running"
 
 
 @pytest.fixture

@@ -3,11 +3,12 @@
 import dataclasses
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slzsim import aggregate, cli
+from slzsim import aggregate, cli, parallel, world
 from slzsim.cli import build_parser, build_run_config, main
 from slzsim.fileio import load_mission_log, write_annotations, write_poses
 
@@ -256,7 +257,7 @@ def test_batch_csvs_identical_in_process_and_in_workers(tmp_path, monkeypatch):
     outs = []
     # 1 core runs in-process; 2 workers split 3 runs unevenly; 3 run one each
     for cores in (1, 2, 3):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
         outs.append(tmp_path / f"cores{cores}")
         assert main(["batch", "--seed", "4", "--actors", "20", "--frac-moving",
                      "0.2", "--runs", "3", "--out", str(outs[-1])]) == 0
@@ -278,7 +279,7 @@ def test_batch_runs_missions_in_workers_given_cores(tmp_path, monkeypatch,
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_mission", simulate_and_mark)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
     assert main(["batch", *FAST, "--runs", "2",
                  "--out", str(tmp_path / "o")]) == 0
     assert not multiprocessing.active_children()
@@ -288,7 +289,7 @@ def test_batch_runs_missions_in_workers_given_cores(tmp_path, monkeypatch,
 
 def test_batch_worker_placement_failure_exits_70(tmp_path, monkeypatch,
                                                 capsys):
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     cfg = _ini(tmp_path, "[scenario]\nroi_side = 2\n")
     assert main(["batch", "--config", cfg, "--actors", "500", "--runs", "2",
                  "--out", str(tmp_path / "o")]) == 70
@@ -321,6 +322,90 @@ def test_replay_missing_pose_exits_65(tmp_path, capsys):
     _, poses = _write_replay_inputs(tmp_path / "short", n_frames=2)
     assert main(["replay", ann, poses, "--out", str(tmp_path / "o")]) == 65
     assert "no pose for annotated frame 2" in capsys.readouterr().err
+
+
+def _replay_csvs(out) -> tuple[str, str]:
+    """replay_frames.csv and replay_summary.csv without their exec times."""
+    frames = [line.rsplit(",", 1)[0] for line in
+              (out / "replay_frames.csv").read_text().splitlines()]
+    summary = [line for line in
+               (out / "replay_summary.csv").read_text().splitlines()
+               if not line.startswith("exec_time")]
+    return "\n".join(frames), "\n".join(summary)
+
+
+def test_replay_csvs_identical_in_process_and_in_workers(tmp_path,
+                                                         monkeypatch):
+    # a walking crowd under a drifting camera, so that every frame differs
+    rng = np.random.default_rng(8)
+    heads = rng.uniform(10, 20, (12, 2))
+    frames = []
+    for k in range(7):
+        frames.append((k, heads))
+        heads = heads + 0.2 * rng.integers(-1, 2, heads.shape)
+    ann, poses = str(tmp_path / "heads.csv"), str(tmp_path / "poses.csv")
+    write_annotations(ann, frames)
+    write_poses(poses, [(k, (-15.0 + 0.2 * k, -15.0, -8.0),
+                         (0.0, 0.0, 0.0, 1.0)) for k in range(7)])
+    csvs = []
+    # 1 core runs in-process; 2 and 3 workers split 7 frames unevenly
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert main(["replay", ann, poses, "--out", str(out)]) == 0
+        assert not multiprocessing.active_children()
+        csvs.append(_replay_csvs(out))
+    assert csvs[0] == csvs[1] == csvs[2]
+    frames = csvs[0][0].splitlines()
+    assert len(frames) == 8 and frames[0].endswith(",best_iou")
+    # frames with a target were scored against ground truth
+    assert any(row.split(",")[-1] for row in frames[1:])
+
+
+@pytest.mark.parametrize("cores, in_workers", [(1, False), (2, True)])
+def test_replay_detects_in_workers_given_cores(tmp_path, monkeypatch, cores,
+                                               in_workers):
+    perceive = world.perceive
+
+    def perceive_and_mark(*args, **kwargs):
+        (tmp_path / f"pid{os.getpid()}").touch()
+        return perceive(*args, **kwargs)
+
+    monkeypatch.setattr(world, "perceive", perceive_and_mark)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+    ann, poses = _write_replay_inputs(tmp_path, n_frames=4)
+    assert main(["replay", ann, poses, "--out", str(tmp_path / "o")]) == 0
+    assert not multiprocessing.active_children()
+    pids = {int(p.name[3:]) for p in tmp_path.glob("pid*")}
+    assert pids and (os.getpid() not in pids) == in_workers
+
+
+def test_replay_worker_degenerate_view_exits_70(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    ann, poses = _write_replay_inputs(tmp_path, n_frames=6)
+    # frame 3's camera sits at 1.0 m, below the 1.7 m head plane
+    write_poses(poses, [(k, (-15.0, -15.0, -1.0 if k == 3 else -8.0),
+                         (0.0, 0.0, 0.0, 1.0)) for k in range(6)])
+    assert main(["replay", ann, poses, "--out", str(tmp_path / "o")]) == 70
+    err = capsys.readouterr().err
+    assert "DegenerateView" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("bad", ["annotations", "poses"])
+def test_replay_non_finite_input_exits_65(tmp_path, capsys, bad):
+    ann, poses = _write_replay_inputs(tmp_path, n_frames=3)
+    path = Path(ann if bad == "annotations" else poses)
+    lines = path.read_text().splitlines()
+    # line 4: frame 1's first head, or frame 2's pose; its x becomes nan
+    fields = lines[3].split(",")
+    fields[2 if bad == "annotations" else 1] = "nan"
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", ann, poses, "--out", str(tmp_path / "o")]) == 65
+    err = capsys.readouterr().err
+    assert f"{path}:4: non-finite" in err and "Traceback" not in err
 
 
 def test_replay_empty_body_exits_ok(tmp_path):

@@ -58,7 +58,10 @@ def test_annotations_reject_bad_header_and_fields(tmp_path):
     for body, fault in [("1,0,2.0\n", "expected 4 fields"),
                         ("1,0,2.0,x\n", "could not convert"),
                         ("1,0,2.0,3.0 # note\n", "could not convert"),
-                        ("1.0,0,2.0,3.0\n", "invalid literal for int")]:
+                        ("1.0,0,2.0,3.0\n", "invalid literal for int"),
+                        ("1,0,nan,3.0\n", "non-finite head coordinate"),
+                        ("1,0,2.0,-inf\n", "non-finite head coordinate"),
+                        ("1,0,1e999,3.0\n", "non-finite head coordinate")]:
         path.write_text("HEADS v1\n0,0,1.0,1.0\n\n" + body)
         with pytest.raises(MalformedFile, match=f":4: {fault}"):
             load_annotations(path)
@@ -113,6 +116,10 @@ def test_poses_reject_non_monotone_and_bad_quat(tmp_path):
     path.write_text("POSE v1\n0,0,0,0,0,0,0,2\n")
     with pytest.raises(MalformedFile):
         load_pose_rows(path)
+    for t in ("nan,0,5", "0,inf,5", "0,0,-inf"):
+        path.write_text(f"POSE v1\n0,0,0,5,0,0,0,1\n1,{t},0,0,0,1\n")
+        with pytest.raises(MalformedFile, match=":3: non-finite translation"):
+            load_pose_rows(path)
     path.write_text("POSES v2\n")
     with pytest.raises(MalformedFile):
         load_pose_rows(path)

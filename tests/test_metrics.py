@@ -1,12 +1,15 @@
 """Risk counts, ground-truth zones, aggregation, and annotation replay."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from slzsim import parallel
 from slzsim import (DroneState, EmptyGroundTruth, HeadPlane, MissionLog,
                     OccupancyGrid, OracleNoiseConfig, PlaneGrid,
-                    ScenarioConfig, SlzConfig, TrackManager, TrackState,
-                    TrackerConfig, aggregate, best_iou, ground_truth_slz,
+                    ScenarioConfig, SlzConfig, TrackState, aggregate,
+                    best_iou, ground_truth_slz,
                     replay_annotations, risk_counts,
                     sample_occupancy_to_plane, simulate_mission)
 from slzsim.geometry import apply_geofence
@@ -210,6 +213,43 @@ def test_replay_missing_pose_raises():
         replay_annotations(frames, {}, default_camera(), HeadPlane())
 
 
+def test_replay_missing_pose_raises_before_any_worker_starts(monkeypatch):
+    def no_pool(n_tasks):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "ordered_map", no_pool)
+    frames = [(k, np.array([[14.0, 15.0]])) for k in range(3)]
+    poses = {k: _hover_pose(15.0, 15.0, 8.0) for k in (0, 2)}
+    with pytest.raises(KeyError, match="frame 1"):
+        replay_annotations(frames, poses, default_camera(), HeadPlane())
+
+
+def test_replay_zero_frames_start_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rows, rep = replay_annotations(iter(()), {}, default_camera(),
+                                   HeadPlane())
+    assert rows == [] and rep.n_frames == 0
+
+
+def test_replay_accepts_a_generator_of_frames(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    frames = [(k, np.array([[13.0, 15.0], [16.0, 14.5]])) for k in range(5)]
+    poses = {k: _hover_pose(15.0, 15.0, 8.0) for k in range(5)}
+    listed, _ = replay_annotations(frames, poses, default_camera(),
+                                   HeadPlane())
+    generated, _ = replay_annotations((f for f in frames), poses,
+                                      default_camera(), HeadPlane())
+    for row in (*listed, *generated):
+        row.exec_time = None
+    assert generated == listed
+    assert any(row.best_iou is not None for row in listed)
+
+
 def test_replay_matches_simulated_mission_proposals():
     # self-consistency: replaying a mission's own actor positions and drone
     # poses reproduces the per-frame proposal counts, as long as the
@@ -269,8 +309,8 @@ def test_evaluate_target_shared_mask_matches_reprojection():
         w2c = drone.world_to_camera()
         roi_side = 30.0 if case % 2 else None
         grid, visible, proposals, _ = perceive(
-            heads, w2c, case, TrackManager(TrackerConfig()), cam, plane,
-            OracleNoiseConfig(seed=case), slz_cfg, 0.1, 1.0, roi_side)
+            heads, w2c, case, cam, plane, OracleNoiseConfig(seed=case),
+            slz_cfg, 0.1, 1.0, roi_side)
         assert visible.shape == grid.values.shape
         circles = [(p.cx, p.cy, p.radius) for p in proposals]
         circles.append((*rng.uniform(5, 25, 2), 0.0))  # radius floored
