@@ -28,11 +28,17 @@ import numpy as np
 from .errors import BehindCamera, DegenerateView
 
 ROTATION_TOL = 1e-9
+MAX_GRID_CELLS = 2**24     # head-plane grid cap: 16 MiB of uint8 cells
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """SE(3) transform; validates orthonormality at construction."""
+    """SE(3) transform; the public constructor validates orthonormality.
+
+    Inverses and compositions of valid transforms are valid, so they are
+    built by ``_unchecked``, which skips the checks.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -48,6 +54,15 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
+    @classmethod
+    def _unchecked(cls, rotation: np.ndarray,
+                   translation: np.ndarray) -> "RigidTransform":
+        """Wrap a float (3, 3) rotation and (3,) translation as they are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rotation", rotation)
+        object.__setattr__(out, "translation", translation)
+        return out
+
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
@@ -59,13 +74,13 @@ class RigidTransform:
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
+        return RigidTransform._unchecked(rt, -rt @ self.translation)
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Transform applying b first, then a."""
-    return RigidTransform(a.rotation @ b.rotation,
-                          a.rotation @ b.translation + a.translation)
+    return RigidTransform._unchecked(a.rotation @ b.rotation,
+                                     a.rotation @ b.translation + a.translation)
 
 
 @dataclass(frozen=True)
@@ -190,7 +205,9 @@ def grid_footprint(cam: CameraModel, world_to_camera: RigidTransform,
                    margin: float = 1.0) -> PlaneGrid:
     """Axis-aligned grid covering the image's head-plane footprint plus margin.
 
-    All cells start free. The camera center must be strictly above the plane.
+    All cells start free. The camera center must be strictly above the plane,
+    and the grid may hold at most ``MAX_GRID_CELLS`` cells; a larger one
+    raises DegenerateView before anything is allocated.
     """
     cam_to_world = world_to_camera.inverse()
     if cam_to_world.translation[2] <= plane.h_h:
@@ -203,6 +220,9 @@ def grid_footprint(cam: CameraModel, world_to_camera: RigidTransform,
     x_max, y_max = pts[:, 0].max() + margin, pts[:, 1].max() + margin
     cols = int(np.ceil((x_max - x_min) / cell_size))
     rows = int(np.ceil((y_max - y_min) / cell_size))
+    if rows * cols > MAX_GRID_CELLS:
+        raise DegenerateView(f"head-plane grid of {rows} x {cols} cells "
+                             f"exceeds the cap of {MAX_GRID_CELLS} cells")
     return PlaneGrid(x_min + cell_size / 2, y_min + cell_size / 2,
                      cell_size, rows, cols)
 
@@ -215,11 +235,25 @@ def sample_occupancy_to_plane(o, grid: PlaneGrid,
     occupancy pixel. Cells mapping behind the camera or outside the image
     are marked occupied (safety overestimate).
 
-    The cell centers are written into one (rows, cols, 3) array and
-    transformed by a single ``pw @ R.T + t`` over the same (n, 3) layout as
-    a stack of the centers, so every cell projects bit-identically. Each
-    visible cell becomes a flat pixel index and all cells are read with
-    one gather, the others from a 0 appended past the last pixel.
+    In general the cell centers are written into one (rows, cols, 3) array
+    and transformed by a single ``pw @ R.T + t`` over the same (n, 3)
+    layout as a stack of the centers, so every cell projects
+    bit-identically. Each visible cell becomes a flat pixel index and all
+    cells are read with one gather, the others from a 0 appended past the
+    last pixel.
+
+    An axis-aligned view, whose rotation has every off-diagonal entry
+    exactly 0 (a nadir camera at yaw 0, an identity pose), projects
+    separably, with bit-identical results: camera x is ``R[0,0]*x + t[0]``
+    per column, camera y is ``R[1,1]*y + t[1]`` per row and the depth is one
+    scalar, ``R[2,2]*h_h + t[2]``. Each element of ``pw @ R.T`` sums the same
+    rounded product ``R[k,k]*c`` with two products by ±0, which are ±0
+    exactly; adding ±0 changes no value, in any order and with or without
+    FMA, so the result does not depend on the BLAS kernel (at most the sign
+    of a zero differs, and every later test reads ±0 alike). The ops after
+    it are the same scalar ops, taken per row or per column. At one depth
+    ``u`` is monotone in the column and ``v`` in the row, so the visible
+    cells form one block, read from the image with one ``np.ix_`` gather.
 
     With ``return_visible`` the result is ``(grid, visible)``: the bool
     (rows, cols) mask of the cells the camera sees, which are the cells an
@@ -227,15 +261,46 @@ def sample_occupancy_to_plane(o, grid: PlaneGrid,
     """
     xs = grid.origin_x + np.arange(grid.cols) * grid.cell_size
     ys = grid.origin_y + np.arange(grid.rows) * grid.cell_size
-    pw = np.empty((grid.rows, grid.cols, 3))
+    sample = (_sample_general if world_to_camera.rotation[_OFF_DIAGONAL].any()
+              else _sample_axis_aligned)
+    values, visible = sample(o, xs, ys, world_to_camera, cam, plane.h_h)
+    out = PlaneGrid(grid.origin_x, grid.origin_y, grid.cell_size, grid.rows,
+                    grid.cols, values)
+    if return_visible:
+        return out, visible
+    return out
+
+
+def _sample_axis_aligned(o, xs, ys, w2c: RigidTransform, cam: CameraModel,
+                         h_h: float):
+    r, t = w2c.rotation, w2c.translation
+    values = np.zeros((len(ys), len(xs)), dtype=np.uint8)
+    visible = np.zeros(values.shape, dtype=bool)
+    lam = r[2, 2] * h_h + t[2]
+    if not lam > 0:
+        return values, visible
+    u = cam.fx * (r[0, 0] * xs + t[0]) / lam + cam.cx
+    v = cam.fy * (r[1, 1] * ys + t[1]) / lam + cam.cy
+    cols = np.flatnonzero((u >= 0) & (u < o.width))
+    rows = np.flatnonzero((v >= 0) & (v < o.height))
+    if cols.size and rows.size:
+        block = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        values[block] = o.values[np.ix_(np.floor(v[block[0]]).astype(np.intp),
+                                        np.floor(u[block[1]]).astype(np.intp))]
+        visible[block] = True
+    return values, visible
+
+
+def _sample_general(o, xs, ys, w2c: RigidTransform, cam: CameraModel,
+                    h_h: float):
+    pw = np.empty((len(ys), len(xs), 3))
     pw[:, :, 0] = xs
     pw[:, :, 1] = ys[:, None]
-    pw[:, :, 2] = plane.h_h
-    p_cam = pw.reshape(-1, 3) @ world_to_camera.rotation.T
+    pw[:, :, 2] = h_h
+    p_cam = pw.reshape(-1, 3) @ w2c.rotation.T
     # the translation is added column by column: the same sums as a
     # broadcast "+ t", without numpy's slow length-3 inner loop
-    x, y, lam = (p_cam[:, i] + world_to_camera.translation[i]
-                 for i in range(3))
+    x, y, lam = (p_cam[:, i] + w2c.translation[i] for i in range(3))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = cam.fx * x / lam + cam.cx
         v = cam.fy * y / lam + cam.cy
@@ -245,8 +310,5 @@ def sample_occupancy_to_plane(o, grid: PlaneGrid,
         flat = np.where(visible, np.floor(v) * o.width + np.floor(u),
                         o.values.size).astype(np.intp)
     pixels = np.append(o.values.ravel(), np.uint8(0))
-    out = PlaneGrid(grid.origin_x, grid.origin_y, grid.cell_size, grid.rows,
-                    grid.cols, pixels[flat].reshape(grid.rows, grid.cols))
-    if return_visible:
-        return out, visible.reshape(grid.rows, grid.cols)
-    return out
+    return (pixels[flat].reshape(pw.shape[:2]),
+            visible.reshape(pw.shape[:2]))

@@ -63,7 +63,9 @@ class DroneState:
     def world_to_camera(self) -> RigidTransform:
         c, s = np.cos(self.yaw), np.sin(self.yaw)
         r_wb = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        world_to_body = RigidTransform(r_wb.T, -r_wb.T @ self.position)
+        # a yaw rotation is orthonormal by construction: no checks needed
+        world_to_body = RigidTransform._unchecked(r_wb.T,
+                                                  -r_wb.T @ self.position)
         return compose(self.camera_mount, world_to_body)
 
 

@@ -200,6 +200,25 @@ def test_run_placement_failure_exits_70(tmp_path, capsys):
     assert "PlacementFailure" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "batch", "replay"])
+@pytest.mark.parametrize("key, value", [("cell_size", "1e-9"),
+                                        ("margin", "1e12")])
+def test_oversized_grid_exits_70_before_allocating(tmp_path, capsys,
+                                                   monkeypatch, command, key,
+                                                   value):
+    # both grids would need far more memory than any host has: the cap
+    # must refuse them before np.full is reached
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    cfg = _ini(tmp_path, f"[grid]\n{key} = {value}\n")
+    argv = {"run": ["run", *FAST], "batch": ["batch", *FAST, "--runs", "2"],
+            "replay": ["replay", *_write_replay_inputs(tmp_path, 3)]}[command]
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 70
+    err = capsys.readouterr().err
+    assert "DegenerateView" in err and "Traceback" not in err
+    assert " x " in err and f"cap of {2**24} cells" in err
+    assert not multiprocessing.active_children()
+
+
 def test_usage_error_exits_64_not_collision_code(capsys):
     assert main(["run", "--criterion", "nearest"]) == 64
     err = capsys.readouterr().err

@@ -7,6 +7,9 @@ from slzsim import (BehindCamera, CameraModel, DegenerateView, HeadPlane,
                     OccupancyGrid, PlaneGrid, RigidTransform,
                     back_project_pixel, compose, grid_footprint,
                     project_plane_point, sample_occupancy_to_plane)
+from slzsim import ScenarioConfig, geometry, parallel, simulate_mission
+from slzsim.cli import main
+from slzsim.fileio import write_annotations, write_poses
 from slzsim.geometry import apply_geofence
 
 from conftest import nadir_w2c, random_rotation
@@ -208,6 +211,25 @@ def test_sample_left_half_per_cell_oracle(cam400):
             assert out.values[i, j] == expected, (i, j)
 
 
+def _sample_per_cell(occ, grid, w2c, cam, plane):
+    """(values, visible) of plane sampling, one project_plane_point a cell."""
+    values = np.zeros((grid.rows, grid.cols), np.uint8)
+    visible = np.zeros(values.shape, bool)
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            x = grid.origin_x + j * grid.cell_size
+            y = grid.origin_y + i * grid.cell_size
+            try:
+                u, v, _ = project_plane_point((x, y, plane.h_h), w2c, cam)
+            except BehindCamera:
+                continue
+            col, row = int(np.floor(u)), int(np.floor(v))
+            if 0 <= col < occ.width and 0 <= row < occ.height:
+                visible[i, j] = True
+                values[i, j] = occ.values[row, col]
+    return values, visible
+
+
 def test_sample_matches_per_cell_projection():
     # small tilted and yawed cameras over a wide grid: cells behind the
     # camera, outside the image and on every image edge
@@ -224,21 +246,115 @@ def test_sample_matches_per_cell_projection():
         grid = PlaneGrid(*rng.uniform(-12, -8, 2), 0.7, 31, 29)
         out, visible = sample_occupancy_to_plane(occ, grid, w2c, cam, plane,
                                                  return_visible=True)
-        for i in range(grid.rows):
-            for j in range(grid.cols):
-                x = grid.origin_x + j * grid.cell_size
-                y = grid.origin_y + i * grid.cell_size
-                try:
-                    u, v, _ = project_plane_point((x, y, plane.h_h), w2c, cam)
-                    col, row = int(np.floor(u)), int(np.floor(v))
-                    seen = 0 <= col < 40 and 0 <= row < 30
-                except BehindCamera:
-                    seen = False
-                assert visible[i, j] == seen, (case, i, j)
-                assert out.values[i, j] == (occ.values[row, col] if seen
-                                            else 0), (case, i, j)
+        values, mask = _sample_per_cell(occ, grid, w2c, cam, plane)
+        assert np.array_equal(visible, mask), case
+        assert np.array_equal(out.values, values), case
         assert np.array_equal(out.values, sample_occupancy_to_plane(
             occ, grid, w2c, cam, plane).values)
+
+
+# the four proper rotations whose off-diagonal entries are all 0
+AXIS_ALIGNED = [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
+                (-1.0, -1.0, 1.0)]
+
+
+def _refuse_path(*args):
+    raise AssertionError("the view took the wrong sampling path")
+
+
+@pytest.mark.parametrize("diag", AXIS_ALIGNED)
+def test_axis_aligned_sampling_matches_gemm_and_per_cell(cam400, diag,
+                                                         monkeypatch):
+    general = geometry._sample_general
+    monkeypatch.setattr(geometry, "_sample_general", _refuse_path)
+    r = np.diag(diag)
+    rng = np.random.default_rng(int(diag[0] > 0) + 2 * int(diag[1] > 0))
+    small = CameraModel(fx=30.0, fy=25.0, cx=20.0, cy=15.0, width=40,
+                        height=30)
+    # the first case puts cell centers exactly on all four image edges: at
+    # depth 8 the outermost cells, x = +-8 and y = +-8, map to 0 and 800
+    cases = [(cam400, HeadPlane(2.0),
+              np.array([0.0, 0.0, 2.0 - 8.0 * r[2, 2]]),
+              PlaneGrid(-8.0, -8.0, 0.5, 33, 33))]
+    for case in range(60):
+        plane = HeadPlane(rng.uniform(1.0, 2.0))
+        # depth in front of the camera, zero, or behind it
+        depth = (rng.uniform(0.3, 3.0), 0.0, -rng.uniform(0.1, 2.0))[case % 3]
+        center = np.array([*rng.uniform(-3.0, 3.0, 2),
+                           plane.h_h - r[2, 2] * depth])
+        rows, cols = [(1, 1), (1, 17), (13, 1), (11, 19)][case % 4]
+        cell = rng.uniform(0.05, 0.25)
+        # every fifth grid lies wholly off the image
+        origin = (center[:2] + (40.0 if case % 5 == 4 else 0.0)
+                  - rng.uniform(0.0, 1.0, 2) * np.array([cols, rows]) * cell)
+        cases.append((small, plane, center,
+                      PlaneGrid(*origin, cell, rows, cols)))
+    seen, counts = set(), []
+    for cam, plane, center, grid in cases:
+        w2c = RigidTransform(r, -r @ center)
+        occ = OccupancyGrid(np.where(rng.random((cam.height, cam.width))
+                                     < 0.5, 0, 255).astype(np.uint8))
+        out, visible = sample_occupancy_to_plane(occ, grid, w2c, cam, plane,
+                                                 return_visible=True)
+        xs = grid.origin_x + np.arange(grid.cols) * grid.cell_size
+        ys = grid.origin_y + np.arange(grid.rows) * grid.cell_size
+        gemm = general(occ, xs, ys, w2c, cam, plane.h_h)
+        per_cell = _sample_per_cell(occ, grid, w2c, cam, plane)
+        for values, mask in (gemm, per_cell):
+            assert np.array_equal(out.values, values)
+            assert np.array_equal(visible, mask)
+        seen.add(min(visible.sum(), 1) + visible.all())
+        counts.append(visible.sum())
+    assert seen == {0, 1, 2}  # grids unseen, partly seen and wholly seen
+    # u = 0 and v = 0 are seen, u = width and v = height are not
+    assert counts[0] == 32 * 32
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(geometry, name)
+    monkeypatch.setattr(geometry, name,
+                        lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_rounding_noise_off_the_diagonal_takes_general_path(cam400,
+                                                           monkeypatch):
+    r = np.diag([1.0, -1.0, -1.0])
+    r[0, 1] = 1e-12
+    w2c = RigidTransform(r, -r @ np.array([0.3, -0.2, 9.0]))
+    occ = OccupancyGrid(np.full((800, 800), 255, np.uint8))
+    grid = PlaneGrid(-3.05, -3.05, 0.37, 18, 18)
+    monkeypatch.setattr(geometry, "_sample_axis_aligned", _refuse_path)
+    calls = _count_calls(monkeypatch, "_sample_general")
+    _, visible = sample_occupancy_to_plane(occ, grid, w2c, cam400,
+                                           HeadPlane(), return_visible=True)
+    assert calls == [1]
+    assert np.array_equal(visible, _sample_per_cell(occ, grid, w2c, cam400,
+                                                    HeadPlane())[1])
+
+
+def test_every_mission_and_identity_pose_replay_frame_is_axis_aligned(
+        tmp_path, monkeypatch):
+    # rounding noise in world_to_camera or load_poses would silently send
+    # every frame down the general path; fail instead
+    monkeypatch.setattr(geometry, "_sample_general", _refuse_path)
+    calls = _count_calls(monkeypatch, "_sample_axis_aligned")
+    log = simulate_mission(ScenarioConfig(seed=3, n_actors=30,
+                                          max_mission_time=5.0))
+    perceived = sum(f.exec_time is not None for f in log.frames)
+    assert perceived > 0 and len(calls) == perceived
+
+    calls.clear()
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+    ann, poses = tmp_path / "heads.csv", tmp_path / "poses.csv"
+    write_annotations(ann, [(k, [(14.0, 15.0), (16.5, 15.5)])
+                            for k in range(6)])
+    write_poses(poses, [(k, (-15.0 + 0.1 * k, -15.0, -8.0),
+                         (0.0, 0.0, 0.0, 1.0)) for k in range(6)])
+    assert main(["replay", str(ann), str(poses),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 6
 
 
 def test_sample_out_of_view_cells_occupied(cam400):
